@@ -39,25 +39,24 @@ struct JsonRecord {
 void RunCachePhase(const Dataset& dataset, Metric metric, int batch,
                    size_t clients, size_t facilities, int resolution,
                    std::vector<JsonRecord>* records) {
-  std::vector<HeatmapRequest> requests;
-  requests.reserve(batch);
-  for (int b = 0; b < batch; ++b) {
-    const PreparedWorkload w =
-        Prepare(dataset, clients, facilities, metric, 7000 + b);
-    requests.push_back(HeatmapRequest{w.circles, Rect{{0, 0}, {1, 1}},
-                                      resolution, resolution, metric});
-  }
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   options.cache_bytes = 512ull << 20;  // hold the whole batch
   options.cache_entries = static_cast<size_t>(batch) * 2;
   HeatmapEngine engine(measure, options);
+  std::vector<HeatmapRequestV2> requests;
+  requests.reserve(batch);
+  for (int b = 0; b < batch; ++b) {
+    const PreparedWorkload w =
+        Prepare(dataset, clients, facilities, metric, 7000 + b);
+    requests.push_back(HeatmapRequestV2{
+        engine.registry().Register(w.circles, metric), Rect{{0, 0}, {1, 1}},
+        resolution, resolution});
+  }
 
-  std::vector<HeatmapRequest> cold = requests;
-  const double cold_ms = TimeMs([&] { engine.RunBatch(std::move(cold)); });
-  std::vector<HeatmapRequest> warm = requests;
-  const double warm_ms = TimeMs([&] { engine.RunBatch(std::move(warm)); });
+  const double cold_ms = TimeMs([&] { engine.RunBatch(requests); });
+  const double warm_ms = TimeMs([&] { engine.RunBatch(requests); });
   const SweepCacheStats stats = engine.cache_stats();
 
   std::printf("[cache/%s] batch %d at %dx%d: cold %.1f ms, warm %.1f ms "

@@ -30,21 +30,16 @@ struct JsonRecord {
   double ms;
 };
 
-std::vector<HeatmapRequest> MakeBatch(const Dataset& dataset, int batch,
-                                      size_t clients, size_t facilities,
-                                      int resolution, Metric metric) {
-  std::vector<HeatmapRequest> out;
+// The circle sets of one batch; each cell registers its own copy.
+std::vector<std::vector<NnCircle>> MakeBatch(const Dataset& dataset,
+                                             int batch, size_t clients,
+                                             size_t facilities,
+                                             Metric metric) {
+  std::vector<std::vector<NnCircle>> out;
   out.reserve(batch);
   for (int b = 0; b < batch; ++b) {
-    const PreparedWorkload w =
-        Prepare(dataset, clients, facilities, metric, 9000 + b);
-    HeatmapRequest req;
-    req.circles = w.circles;
-    req.domain = Rect{{0, 0}, {1, 1}};
-    req.width = resolution;
-    req.height = resolution;
-    req.metric = metric;
-    out.push_back(std::move(req));
+    out.push_back(
+        Prepare(dataset, clients, facilities, metric, 9000 + b).circles);
   }
   return out;
 }
@@ -52,8 +47,8 @@ std::vector<HeatmapRequest> MakeBatch(const Dataset& dataset, int batch,
 void RunMetric(const Dataset& dataset, Metric metric, int batch,
                size_t clients, size_t facilities, int resolution,
                std::vector<JsonRecord>* records) {
-  const auto requests =
-      MakeBatch(dataset, batch, clients, facilities, resolution, metric);
+  const auto circle_sets =
+      MakeBatch(dataset, batch, clients, facilities, metric);
   SizeInfluence measure;
 
   std::printf("[%s] batch of %d heat maps, %zu clients, %zu facilities, "
@@ -68,9 +63,20 @@ void RunMetric(const Dataset& dataset, Metric metric, int batch,
       options.num_threads = threads;
       options.slabs_per_request = slabs;
       HeatmapEngine engine(measure, options);
-      std::vector<HeatmapRequest> copy = requests;
+      std::vector<std::vector<NnCircle>> copy = circle_sets;
       Cell cell;
-      cell.ms = TimeMs([&] { engine.RunBatch(std::move(copy)); });
+      // Registration stays inside the timed region: hashing and
+      // snapshotting each set is part of serving a fresh batch.
+      cell.ms = TimeMs([&] {
+        std::vector<HeatmapRequestV2> requests;
+        requests.reserve(copy.size());
+        for (std::vector<NnCircle>& circles : copy) {
+          requests.push_back(HeatmapRequestV2{
+              engine.registry().Register(std::move(circles), metric),
+              Rect{{0, 0}, {1, 1}}, resolution, resolution});
+        }
+        engine.RunBatch(requests);
+      });
       row.push_back(cell);
       records->push_back(JsonRecord{MetricName(metric), threads, slabs,
                                     batch, cell.ms});

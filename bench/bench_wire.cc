@@ -1,14 +1,13 @@
-// Wire protocol + handle-vs-inline serving benchmark.
+// Wire protocol + handle serving benchmark.
 //
 // Three phases:
 //   * codec/request  — encode/decode throughput of framed v2 requests
 //                      (inline circle payloads, content-hash verified);
 //   * codec/response — encode/decode throughput of full responses (the
 //                      grid payload dominates);
-//   * submit         — per-call latency of a warm cache-enabled engine,
-//                      legacy inline Execute (hashes the circle vector
-//                      every call) vs v2 handle Execute (precomputed hash,
-//                      O(1) probe) — the latency gap the handle API buys.
+//   * submit         — per-call latency of a warm cache-enabled engine
+//                      serving a registered handle (precomputed hash, O(1)
+//                      cache probe).
 //
 // Besides the text table, the run writes a machine-readable summary to
 // BENCH_wire.json (override with RNNHM_BENCH_JSON_WIRE): one record per
@@ -16,6 +15,7 @@
 // call for the submit phase. Set RNNHM_BENCH_FULL=1 for larger sizes.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,10 +63,10 @@ void RunRequestCodec(size_t circles, int iters,
   const double encode_ms = TimeMs([&] {
     for (int i = 0; i < iters; ++i) bytes = EncodeRequest(request);
   });
-  std::string error;
+  Status status;
   const double decode_ms = TimeMs([&] {
     for (int i = 0; i < iters; ++i) {
-      if (!DecodeRequest(bytes, &error).has_value()) std::abort();
+      if (!DecodeRequest(bytes, &status).has_value()) std::abort();
     }
   });
   const double mb = static_cast<double>(bytes.size()) * iters / 1e6;
@@ -89,11 +89,16 @@ void RunResponseCodec(int resolution, int iters,
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
-  const HeatmapResponse response = engine.Execute(HeatmapRequest{
-      MakeCircles(12, 500), kDomain, resolution, resolution, Metric::kLInf});
+  std::optional<HeatmapResponse> response;
+  const Status status = engine.ExecuteChecked(
+      HeatmapRequestV2{
+          engine.registry().Register(MakeCircles(12, 500), Metric::kLInf),
+          kDomain, resolution, resolution},
+      &response);
+  if (!status.ok()) std::abort();
   std::vector<uint8_t> bytes;
   const double encode_ms = TimeMs([&] {
-    for (int i = 0; i < iters; ++i) bytes = EncodeResponse(response);
+    for (int i = 0; i < iters; ++i) bytes = EncodeResponse(*response);
   });
   std::string error;
   const double decode_ms = TimeMs([&] {
@@ -123,30 +128,23 @@ void RunSubmitLatency(size_t circles, int resolution, int iters,
   options.num_threads = 1;
   options.cache_bytes = 256ull << 20;
   HeatmapEngine engine(measure, options);
-  const HeatmapRequest inline_request{MakeCircles(13, circles), kDomain,
-                                      resolution, resolution, Metric::kLInf};
-  const CircleSetHandle handle = engine.registry().Register(
-      inline_request.circles, inline_request.metric);
-  const HeatmapRequestV2 handle_request{handle, kDomain, resolution,
-                                        resolution};
-  (void)engine.Execute(handle_request);  // warm the cache
-
-  // Warm hits only: both variants return the memoized response; the cost
-  // difference is the per-call circle-vector hash the inline path pays.
-  const double inline_ms = TimeMs([&] {
-    for (int i = 0; i < iters; ++i) (void)engine.Execute(inline_request);
-  });
+  const HeatmapRequestV2 handle_request{
+      engine.registry().Register(MakeCircles(13, circles), Metric::kLInf),
+      kDomain, resolution, resolution};
+  std::optional<HeatmapResponse> response;
+  // Warm the cache; the timed calls are all hits.
+  if (!engine.ExecuteChecked(handle_request, &response).ok()) std::abort();
   const double handle_ms = TimeMs([&] {
-    for (int i = 0; i < iters; ++i) (void)engine.Execute(handle_request);
+    for (int i = 0; i < iters; ++i) {
+      if (!engine.ExecuteChecked(handle_request, &response).ok()) {
+        std::abort();
+      }
+    }
   });
-  const double inline_us = inline_ms * 1e3 / iters;
   const double handle_us = handle_ms * 1e3 / iters;
-  std::printf("[submit] %zu circles at %dx%d, warm cache: inline %.1f "
-              "us/call, handle %.1f us/call (%.1fx)\n",
-              circles, resolution, resolution, inline_us, handle_us,
-              handle_us > 0 ? inline_us / handle_us : 0.0);
-  records->push_back(JsonRecord{"submit", "inline", iters, inline_ms, 0.0,
-                                inline_us});
+  std::printf("[submit] %zu circles at %dx%d, warm cache: handle %.1f "
+              "us/call\n",
+              circles, resolution, resolution, handle_us);
   records->push_back(JsonRecord{"submit", "handle", iters, handle_ms, 0.0,
                                 handle_us});
 }

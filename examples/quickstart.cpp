@@ -7,6 +7,7 @@
 // sweep, an influence measure, post-processing, rasterization, and the
 // serving API v2 (registered circle-set handles + the batched engine).
 #include <cstdio>
+#include <optional>
 
 #include "core/crest.h"
 #include "data/generators.h"
@@ -88,9 +89,15 @@ int main() {
 
   // 7. Re-running a what-if is free: the handle's content hash finds the
   //    memoized response, bit-identical to the sweep above.
-  const HeatmapResponse again = engine.Execute(batch[0]);
+  std::optional<HeatmapResponse> again;
+  if (const Status status = engine.ExecuteChecked(batch[0], &again);
+      !status.ok()) {
+    std::fprintf(stderr, "re-running what-if 0: %s\n",
+                 status.ToString().c_str());
+    return 1;
+  }
   std::printf("re-running what-if 0: %s (max influence %.0f)\n",
-              again.from_cache ? "served from cache" : "recomputed",
-              again.grid.MaxValue());
+              again->from_cache ? "served from cache" : "recomputed",
+              again->grid.MaxValue());
   return 0;
 }

@@ -4,7 +4,7 @@
 // decoders returned nullopt + a string, the serve loop returned bool + a
 // string, the engine CHECK-failed or threw, and the CLI collapsed all of
 // it onto exit code 2. Status is the one currency they all trade in now:
-// wire decoders have Status-returning overloads, the transport layer and
+// wire request decoders return a Status, the transport layer and
 // the event-loop server return Status everywhere, HeatmapEngine grows a
 // non-throwing ExecuteChecked, and the CLI maps each code to a distinct
 // process exit code (ExitCodeFor) so scripts can tell a malformed request

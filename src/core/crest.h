@@ -47,6 +47,18 @@ struct CrestStats {
   size_t num_labelings = 0;        ///< k: region labelings = influence evals
   size_t num_merged_intervals = 0; ///< changed intervals after merging
   size_t num_elements_walked = 0;  ///< line-status elements visited
+
+  /// Field-wise sum: the total of sweeps over disjoint work (tiles,
+  /// fragments). Slab totals copy num_circles instead; see crest_parallel.
+  CrestStats& operator+=(const CrestStats& other) {
+    num_circles += other.num_circles;
+    num_skipped_circles += other.num_skipped_circles;
+    num_events += other.num_events;
+    num_labelings += other.num_labelings;
+    num_merged_intervals += other.num_merged_intervals;
+    num_elements_walked += other.num_elements_walked;
+    return *this;
+  }
 };
 
 /// An axis-aligned rectangle carrying a client id — the general input of

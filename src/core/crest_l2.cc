@@ -292,14 +292,6 @@ class SweepL2 {
     for (const size_t t : order_) scratch_arcs_.push_back(sorted_[t]);
     sorted_.swap(scratch_arcs_);
 
-#ifdef RNNHM_L2_TRACE
-    std::fprintf(stderr, "ckpt x=%.9f next=%.9f order:", x, next_x);
-    for (const Arc& a : sorted_) {
-      std::fprintf(stderr, " %d%c", a.disk, a.is_upper ? 'U' : 'L');
-    }
-    std::fprintf(stderr, "\n");
-#endif
-
     // Label runs of dirty pairs: adjacencies that are new, plus pairs
     // adjacent to an arc involved in this group's crossings/insertions
     // (whose region may have changed contents even with the adjacency

@@ -35,6 +35,16 @@ struct CrestL2Stats {
   size_t num_events = 0;            ///< total events processed
   size_t num_cross_events = 0;      ///< intersection events
   size_t num_labelings = 0;         ///< k: labelings = influence evals
+
+  /// Field-wise sum, mirroring CrestStats::operator+=.
+  CrestL2Stats& operator+=(const CrestL2Stats& other) {
+    num_circles += other.num_circles;
+    num_skipped_circles += other.num_skipped_circles;
+    num_events += other.num_events;
+    num_cross_events += other.num_cross_events;
+    num_labelings += other.num_labelings;
+    return *this;
+  }
 };
 
 /// Receiver of the curved analogue of StripSink spans: the region between

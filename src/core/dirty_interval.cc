@@ -6,48 +6,6 @@
 
 namespace rnnhm {
 
-void DirtyIntervalSet::Add(double lo, double hi) {
-  RNNHM_CHECK_MSG(lo <= hi, "dirty interval needs lo <= hi");
-  // Absorb into the last interval when possible so long runs of edits in
-  // one neighborhood stay O(1) per edit without a merge pass.
-  if (!intervals_.empty()) {
-    DirtyInterval& last = intervals_.back();
-    if (lo >= last.lo && lo <= last.hi) {
-      last.hi = std::max(last.hi, hi);
-      return;
-    }
-  }
-  intervals_.push_back(DirtyInterval{lo, hi});
-  merged_ = false;
-}
-
-const std::vector<DirtyInterval>& DirtyIntervalSet::Merged() const {
-  if (merged_ || intervals_.size() <= 1) {
-    merged_ = true;
-    return intervals_;
-  }
-  std::sort(intervals_.begin(), intervals_.end(),
-            [](const DirtyInterval& a, const DirtyInterval& b) {
-              return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
-            });
-  size_t out = 0;
-  for (size_t i = 1; i < intervals_.size(); ++i) {
-    if (intervals_[i].lo <= intervals_[out].hi) {
-      intervals_[out].hi = std::max(intervals_[out].hi, intervals_[i].hi);
-    } else {
-      intervals_[++out] = intervals_[i];
-    }
-  }
-  intervals_.resize(out + 1);
-  merged_ = true;
-  return intervals_;
-}
-
-void DirtyIntervalSet::Clear() {
-  intervals_.clear();
-  merged_ = true;
-}
-
 void DirtyRegionSet::Add(double x_lo, double x_hi, double y_lo, double y_hi) {
   RNNHM_CHECK_MSG(x_lo <= x_hi && y_lo <= y_hi,
                   "dirty rect needs lo <= hi on both axes");

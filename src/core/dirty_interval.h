@@ -5,10 +5,11 @@
 // NN-circles, yet a from-scratch Rebuild re-sweeps everything. Because the
 // influence at a point p can only change when p's membership in one of the
 // *edited* circles changes, the x-extents of the edited circles' old and
-// new footprints bound every pixel column whose value may differ. A
-// DirtyIntervalSet accumulates those extents across edits; the incremental
-// rasterizer (heatmap/incremental.h) then re-sweeps only the slabs they
-// cover and splices the recomputed columns into the retained grid.
+// new footprints bound every pixel whose value may differ. A
+// DirtyRegionSet accumulates those footprints' bounding rects across
+// edits; the incremental rasterizer (heatmap/incremental.h) then re-sweeps
+// only the slabs they cover and splices the recomputed pixels into the
+// retained grid.
 #ifndef RNNHM_CORE_DIRTY_INTERVAL_H_
 #define RNNHM_CORE_DIRTY_INTERVAL_H_
 
@@ -28,35 +29,6 @@ struct DirtyInterval {
                          const DirtyInterval&) = default;
 };
 
-/// Accumulates closed x-intervals across session edits and exposes them as
-/// a merged, sorted, pairwise-disjoint list. Intervals are merged lazily:
-/// Add is O(1) amortized, Merged() is O(b log b) for b pending intervals.
-class DirtyIntervalSet {
- public:
-  /// Marks [lo, hi] dirty. Requires lo <= hi (a degenerate point interval
-  /// is allowed: a zero-radius circle still has a footprint boundary).
-  void Add(double lo, double hi);
-
-  /// True iff no interval has been added since construction / last Clear.
-  bool empty() const { return intervals_.empty(); }
-
-  /// Number of intervals added since the last Clear (before merging).
-  size_t num_pending() const { return intervals_.size(); }
-
-  /// The merged view: sorted ascending, pairwise disjoint (touching
-  /// intervals coalesce). Idempotent; Add may follow.
-  const std::vector<DirtyInterval>& Merged() const;
-
-  /// Forgets all accumulated intervals (after a rebuild consumed them).
-  void Clear();
-
- private:
-  // Mutable so Merged() can normalize in place while staying const to
-  // callers that only read the merged view.
-  mutable std::vector<DirtyInterval> intervals_;
-  mutable bool merged_ = true;
-};
-
 /// Closed axis-aligned dirty rectangle: the 2D footprint of an edit.
 struct DirtyRect {
   DirtyInterval x;
@@ -70,8 +42,8 @@ struct DirtyRect {
 /// whose x-intervals overlap or touch coalesced into one — x stays the
 /// splice's slab axis — and their y-intervals unioned (a conservative
 /// bound; see heatmap/incremental.h for why retaining pixels outside the
-/// y-union is exact). Add is O(1) amortized, Merged() is O(b log b) for b
-/// pending rects, mirroring DirtyIntervalSet.
+/// y-union is exact). Rects are merged lazily: Add is O(1) amortized,
+/// Merged() is O(b log b) for b pending rects.
 class DirtyRegionSet {
  public:
   /// Marks [x_lo, x_hi] x [y_lo, y_hi] dirty. Requires lo <= hi on both

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "core/label_sink.h"
@@ -97,17 +96,6 @@ IncrementalRasterStats RecomputeDirtyColumns(
         static_cast<int64_t>(i1 - i0 + 1) * (j1 - j0 + 1);
   }
   return stats;
-}
-
-IncrementalRasterStats RecomputeDirtyColumns(
-    HeatmapGrid* grid, Metric metric, const std::vector<NnCircle>& circles,
-    const InfluenceMeasure& measure, const DirtyIntervalSet& dirty) {
-  const double inf = std::numeric_limits<double>::infinity();
-  DirtyRegionSet regions;
-  for (const DirtyInterval& interval : dirty.Merged()) {
-    regions.Add(interval.lo, interval.hi, -inf, inf);
-  }
-  return RecomputeDirtyColumns(grid, metric, circles, measure, regions);
 }
 
 }  // namespace rnnhm

@@ -46,7 +46,7 @@ struct IncrementalRasterStats {
   int total_columns = 0;   ///< grid width (for dirty-fraction reporting)
   int total_rows = 0;      ///< grid height (for dirty-fraction reporting)
   /// Pixels actually reset and repainted (sum of dirty-rect areas in
-  /// pixels). With 1D dirty intervals this is dirty_columns * height; a
+  /// pixels). A full-height rect makes this dirty_columns * height; a
   /// y-localized edit drives it far lower.
   int64_t dirty_pixels = 0;
   MetricSweepStats sweep;  ///< summed counters of the clipped sweeps run
@@ -64,12 +64,6 @@ struct IncrementalRasterStats {
 IncrementalRasterStats RecomputeDirtyColumns(
     HeatmapGrid* grid, Metric metric, const std::vector<NnCircle>& circles,
     const InfluenceMeasure& measure, const DirtyRegionSet& dirty);
-
-/// 1D compatibility overload: treats each dirty x-interval as a rect of
-/// unbounded y-extent (full-height columns, the pre-dirty-rect behavior).
-IncrementalRasterStats RecomputeDirtyColumns(
-    HeatmapGrid* grid, Metric metric, const std::vector<NnCircle>& circles,
-    const InfluenceMeasure& measure, const DirtyIntervalSet& dirty);
 
 }  // namespace rnnhm
 

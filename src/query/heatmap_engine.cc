@@ -17,12 +17,16 @@ namespace rnnhm {
 
 namespace {
 
-// Contract checks fire at the submitting call site, not on a worker thread.
-void ValidateGeometry(const Rect& domain, int width, int height) {
-  RNNHM_CHECK_MSG(width > 0 && height > 0,
-                  "HeatmapRequest needs a positive raster size");
-  RNNHM_CHECK_MSG(domain.lo.x < domain.hi.x && domain.lo.y < domain.hi.y,
-                  "HeatmapRequest needs a non-degenerate domain");
+// The raster-geometry contract every request form shares: a positive
+// size and a non-degenerate domain.
+Status CheckGeometry(const Rect& domain, int width, int height) {
+  if (width <= 0 || height <= 0) {
+    return Status::InvalidArgument("non-positive raster size");
+  }
+  if (!(domain.lo.x < domain.hi.x) || !(domain.lo.y < domain.hi.y)) {
+    return Status::InvalidArgument("degenerate request domain");
+  }
+  return Status::Ok();
 }
 
 std::unique_ptr<SweepCache> MakeCache(const HeatmapEngineOptions& options) {
@@ -39,33 +43,12 @@ std::shared_ptr<CircleSetRegistry> MakeRegistry(
   return std::make_shared<CircleSetRegistry>();
 }
 
-// Wire-facing ceiling on the tile grid a single request may ask for; keeps
-// a hostile by-tile request from allocating millions of tile windows.
-constexpr int kMaxTileGridSide = 1024;
-
 // The per-tile cache key: the tile's circle-subset hash plus its pixel
 // window inside the full raster (see SweepCacheKey).
 SweepCacheKey TileKey(uint64_t subset_hash, const Rect& domain, int width,
                       int height, const TileWindow& w) {
   return SweepCacheKey{subset_hash, domain, width,    height,
                        w.col_lo,    w.col_hi, w.row_lo, w.row_hi};
-}
-
-void AccumulateCrest(CrestStats* into, const CrestStats& s) {
-  into->num_circles += s.num_circles;
-  into->num_skipped_circles += s.num_skipped_circles;
-  into->num_events += s.num_events;
-  into->num_labelings += s.num_labelings;
-  into->num_merged_intervals += s.num_merged_intervals;
-  into->num_elements_walked += s.num_elements_walked;
-}
-
-void AccumulateL2(CrestL2Stats* into, const CrestL2Stats& s) {
-  into->num_circles += s.num_circles;
-  into->num_skipped_circles += s.num_skipped_circles;
-  into->num_events += s.num_events;
-  into->num_cross_events += s.num_cross_events;
-  into->num_labelings += s.num_labelings;
 }
 
 }  // namespace
@@ -101,7 +84,11 @@ HeatmapEngine::~HeatmapEngine() {
 
 HeatmapEngine::ResolvedRequest HeatmapEngine::Resolve(
     const HeatmapRequestV2& request) const {
-  ValidateGeometry(request.domain, request.width, request.height);
+  // Contract checks fire at the submitting call site, not on a worker
+  // thread.
+  const Status geometry =
+      CheckGeometry(request.domain, request.width, request.height);
+  RNNHM_CHECK_MSG(geometry.ok(), geometry.message.c_str());
   std::shared_ptr<const CircleSetSnapshot> set =
       registry_->Resolve(request.circles);
   RNNHM_CHECK_MSG(set != nullptr,
@@ -124,30 +111,9 @@ std::future<HeatmapResponse> HeatmapEngine::Enqueue(ResolvedRequest request) {
   return future;
 }
 
-std::future<HeatmapResponse> HeatmapEngine::Submit(HeatmapRequest request) {
-  ValidateGeometry(request.domain, request.width, request.height);
-  // The legacy shim: the inline vector moves into an immutable snapshot
-  // (hashed once here, on the submitting thread), then flows through the
-  // same handle path v2 requests take.
-  return Enqueue(ResolvedRequest{
-      CircleSetSnapshot::Make(std::move(request.circles), request.metric),
-      request.domain, request.width, request.height});
-}
-
 std::future<HeatmapResponse> HeatmapEngine::Submit(
     const HeatmapRequestV2& request) {
   return Enqueue(Resolve(request));
-}
-
-std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
-    std::vector<HeatmapRequest> requests) {
-  std::vector<std::future<HeatmapResponse>> futures;
-  futures.reserve(requests.size());
-  for (HeatmapRequest& r : requests) futures.push_back(Submit(std::move(r)));
-  std::vector<HeatmapResponse> out;
-  out.reserve(futures.size());
-  for (std::future<HeatmapResponse>& f : futures) out.push_back(f.get());
-  return out;
 }
 
 std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
@@ -161,47 +127,13 @@ std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
   return out;
 }
 
-HeatmapResponse HeatmapEngine::Execute(const HeatmapRequest& request) const {
-  ValidateGeometry(request.domain, request.width, request.height);
-  if (cache_ == nullptr) {
-    return Sweep(request.circles, request.metric, request.domain,
-                 request.width, request.height);
-  }
-  // Hash in place (no snapshot yet): a hit is served without touching the
-  // caller's circle vector, a miss copies it once into the cache entry.
-  const SweepCacheKey key = SweepCache::KeyOf(request);
-  std::optional<HeatmapResponse> hit =
-      cache_->Lookup(key, request.circles, request.metric);
-  if (hit.has_value()) return std::move(*hit);
-  HeatmapResponse response = Sweep(request.circles, request.metric,
-                                   request.domain, request.width,
-                                   request.height);
-  cache_->Insert(key, CircleSetSnapshot::Make(request.circles, request.metric),
-                 response);
-  response.cache = cache_->stats();
-  return response;
-}
-
-HeatmapResponse HeatmapEngine::Execute(HeatmapRequest&& request) const {
-  ValidateGeometry(request.domain, request.width, request.height);
-  return Serve(ResolvedRequest{
-      CircleSetSnapshot::Make(std::move(request.circles), request.metric),
-      request.domain, request.width, request.height});
-}
-
-HeatmapResponse HeatmapEngine::Execute(const HeatmapRequestV2& request) const {
-  return Serve(Resolve(request));
-}
-
 Status HeatmapEngine::ExecuteChecked(
     const HeatmapRequestV2& request,
     std::optional<HeatmapResponse>* response) const {
-  if (request.width <= 0 || request.height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status geometry =
+          CheckGeometry(request.domain, request.width, request.height);
+      !geometry.ok()) {
+    return geometry;
   }
   std::shared_ptr<const CircleSetSnapshot> set =
       registry_->Resolve(request.circles);
@@ -222,8 +154,10 @@ Status HeatmapEngine::ExecuteChecked(
 HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
                                             int tile_rows, int tile_cols,
                                             TiledServeStats* tile_stats) const {
-  RNNHM_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1,
-                  "ExecuteTiled needs a positive tile grid");
+  RNNHM_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1 &&
+                      tile_rows <= kMaxTileGridSide &&
+                      tile_cols <= kMaxTileGridSide,
+                  "ExecuteTiled needs a tile grid side in [1, 1024]");
   const ResolvedRequest resolved = Resolve(request);
   const CircleSetSnapshot& set = *resolved.set;
   const TilePlan plan(set.metric(), set.circles(), resolved.domain,
@@ -248,8 +182,8 @@ HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
         ServeTileFragment(plan, t, set.metric(), resolved.domain,
                           resolved.width, resolved.height);
     TilePlan::StitchFragment(t.window, fragment.grid, &out.grid);
-    AccumulateCrest(&out.stats, fragment.stats);
-    AccumulateL2(&out.l2_stats, fragment.l2_stats);
+    out.stats += fragment.stats;
+    out.l2_stats += fragment.l2_stats;
     if (fragment.from_cache) {
       ++tstats.cached_tiles;
     } else {
@@ -266,12 +200,10 @@ HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
 Status HeatmapEngine::ExecuteTileFragmentChecked(
     const HeatmapRequestV2& request, int tile_rows, int tile_cols,
     int tile_id, std::optional<HeatmapResponse>* response) const {
-  if (request.width <= 0 || request.height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status geometry =
+          CheckGeometry(request.domain, request.width, request.height);
+      !geometry.ok()) {
+    return geometry;
   }
   if (tile_rows < 1 || tile_cols < 1 || tile_rows > kMaxTileGridSide ||
       tile_cols > kMaxTileGridSide) {
@@ -312,11 +244,9 @@ Status HeatmapEngine::ExecuteDeltaChecked(
     IncrementalRasterStats* splice_stats) const {
   if (spliced != nullptr) *spliced = false;
   if (splice_stats != nullptr) *splice_stats = IncrementalRasterStats{};
-  if (width <= 0 || height <= 0) {
-    return Status::InvalidArgument("non-positive raster size");
-  }
-  if (!(domain.lo.x < domain.hi.x) || !(domain.lo.y < domain.hi.y)) {
-    return Status::InvalidArgument("degenerate request domain");
+  if (const Status geometry = CheckGeometry(domain, width, height);
+      !geometry.ok()) {
+    return geometry;
   }
   DirtyRegionSet dirty;
   std::shared_ptr<const CircleSetSnapshot> base_set;

@@ -9,15 +9,11 @@
 // does (BuildHeatmapLInf / BuildHeatmapL1Parallel / BuildHeatmapL2), so
 // batched output is bit-identical to a sequential run over the same inputs.
 //
-// Two request forms share one execution path:
-//   * HeatmapRequestV2 (preferred) references a circle set registered in
-//     the engine's CircleSetRegistry by CircleSetHandle — submits never
-//     copy circle data, and cache probes key off the handle's precomputed
-//     content hash (O(1) in the circle count);
-//   * the legacy HeatmapRequest inlines its circle vector and is adapted
-//     internally (an immutable snapshot is made of the moved-in vector; the
-//     const-ref Execute overload hashes in place and copies only on a cache
-//     miss, so hits are copy-free).
+// Requests (HeatmapRequestV2) reference a circle set registered in the
+// engine's CircleSetRegistry by CircleSetHandle: submits never copy circle
+// data, and cache probes key off the handle's precomputed content hash
+// (O(1) in the circle count). Register once, then submit any number of
+// requests against the handle.
 //
 // Two parallelism axes compose:
 //   * across requests — `num_threads` workers drain the shared queue;
@@ -27,8 +23,8 @@
 //     so the raster is still exact and deterministic).
 // A third axis avoids the sweep altogether: `cache_bytes > 0` enables the
 // content-addressed SweepCache (query/sweep_cache.h), which memoizes whole
-// responses across Submit/RunBatch/Execute — repeated workloads are served
-// bit-identically without recomputation, and every response reports
+// responses across Submit/RunBatch/ExecuteChecked — repeated workloads are
+// served bit-identically without recomputation, and every response reports
 // whether it was a hit (`from_cache`) plus the cache counters (`cache`).
 //
 // Determinism contract: a request's grid depends only on the request and
@@ -69,29 +65,15 @@ struct SweepCacheKey;
 class TilePlan;
 struct Tile;
 
-/// One heat-map computation: sweep `circles` (NN-circles built under
-/// `metric`) and rasterize the influence field over `domain` at
-/// `width` x `height`. L2 requests run the arc sweep and are exact at
-/// pixel centers; L1 requests sweep the rotated frame and resample.
-/// This is the legacy inline form; HeatmapRequestV2 shares the circle
-/// data instead of embedding it.
-struct HeatmapRequest {
-  /// NN-circles to sweep; must have been built under `metric`.
-  std::vector<NnCircle> circles;
-  /// Rectangular raster window (need not cover every circle).
-  Rect domain;
-  /// Raster resolution in pixels; both must be positive.
-  int width = 0;
-  int height = 0;
-  /// Metric the circles were built under; selects the sweep pipeline.
-  Metric metric = Metric::kLInf;
-};
-
-/// The v2 request: the circle set travels as a handle into the engine's
-/// CircleSetRegistry (register via `engine.registry().Register(...)`), so
-/// a population shared by many requests is stored once and cache probes
-/// reuse the handle's precomputed content hash. The metric is a property
-/// of the registered set, not of the request.
+/// One heat-map computation: sweep the registered circle set and rasterize
+/// its influence field over `domain` at `width` x `height`. L2 sets run the
+/// arc sweep and are exact at pixel centers; L1 sets sweep the rotated
+/// frame and resample. The circle set travels as a handle into the
+/// engine's CircleSetRegistry (register via
+/// `engine.registry().Register(...)`), so a population shared by many
+/// requests is stored once and cache probes reuse the handle's precomputed
+/// content hash. The metric is a property of the registered set, not of
+/// the request.
 struct HeatmapRequestV2 {
   /// Handle of a set registered in the serving engine's registry.
   CircleSetHandle circles;
@@ -181,50 +163,32 @@ class HeatmapEngine {
   HeatmapEngine& operator=(const HeatmapEngine&) = delete;
 
   /// Enqueues one request; callable concurrently from any thread. Invalid
-  /// requests (non-positive raster size, degenerate domain) CHECK-fail
-  /// here, at the call site; the future carries the response or any
-  /// exception thrown while serving. The circle vector is moved into an
-  /// immutable snapshot, never copied.
-  std::future<HeatmapResponse> Submit(HeatmapRequest request);
-
-  /// Enqueues one v2 request. The handle must name a live set in
-  /// `registry()` (CHECK-fails here otherwise — resolve untrusted handles
-  /// yourself first); the snapshot is pinned for the request's lifetime,
-  /// so a concurrent Release cannot unmap it mid-sweep.
+  /// requests (non-positive raster size, degenerate domain) and handles
+  /// that do not name a live set in `registry()` CHECK-fail here, at the
+  /// call site — resolve untrusted handles yourself first, or use
+  /// ExecuteChecked. The snapshot is pinned for the request's lifetime, so
+  /// a concurrent Release cannot unmap it mid-sweep. The future carries
+  /// the response or any exception thrown while serving.
   std::future<HeatmapResponse> Submit(const HeatmapRequestV2& request);
 
   /// Submits a whole batch and waits; responses are returned in request
   /// order regardless of completion order.
-  std::vector<HeatmapResponse> RunBatch(std::vector<HeatmapRequest> requests);
   std::vector<HeatmapResponse> RunBatch(
       const std::vector<HeatmapRequestV2>& requests);
 
-  /// Computes one request synchronously on the calling thread, bypassing
-  /// the queue (but not the result cache). This is exactly the code path
-  /// workers run: consult the cache when enabled, sweep on a miss, admit
-  /// the response. Cache hits never copy the request's circles; the
-  /// const-ref overload copies them only into a cache entry on a miss,
-  /// and the rvalue overload moves them instead (workers use it).
-  HeatmapResponse Execute(const HeatmapRequest& request) const;
-  HeatmapResponse Execute(HeatmapRequest&& request) const;
-
-  /// Computes one v2 request synchronously. Copy-free on every path: the
-  /// cache is probed with the handle's precomputed hash, and hit or miss,
-  /// the circle data is only ever shared, never duplicated.
-  HeatmapResponse Execute(const HeatmapRequestV2& request) const;
-
-  /// Computes one v2 request through the domain-tiling path
+  /// Computes one request through the domain-tiling path
   /// (tile/tile_plan.h): the raster is split into a tile_rows x tile_cols
   /// grid, each tile sweeps just the circles whose influence can reach it,
-  /// and the stitched result is bit-identical to Execute on the same
-  /// request. With caching enabled, each tile's *fragment* is memoized
-  /// under the hash of the tile's circle subset plus its pixel window —
-  /// so after an edit, only the tiles the edited circle's influence
+  /// and the stitched result is bit-identical to the untiled response to
+  /// the same request. With caching enabled, each tile's *fragment* is
+  /// memoized under the hash of the tile's circle subset plus its pixel
+  /// window — so after an edit, only the tiles the edited circle's influence
   /// region overlaps miss (their subset hash changed) and every other
   /// tile restitches from the cache, composing with the 2D dirty-rect
   /// machinery of the delta path at tile granularity. `tile_stats`, when
   /// non-null, reports how each tile was served. CHECK-fails on invalid
-  /// geometry, an unregistered handle, or a non-positive tile grid.
+  /// geometry, an unregistered handle, or a tile grid side outside
+  /// [1, kMaxTileGridSide].
   HeatmapResponse ExecuteTiled(const HeatmapRequestV2& request, int tile_rows,
                                int tile_cols,
                                TiledServeStats* tile_stats = nullptr) const;
@@ -235,20 +199,24 @@ class HeatmapEngine {
   /// the tile's window size whose cell (i, j) is global pixel
   /// (window.col_lo + i, window.row_lo + j). Fragments are memoized under
   /// the same per-tile keys ExecuteTiled uses. Every failure is a Status:
-  /// kInvalidArgument for bad geometry, a bad tile grid (bounds are
-  /// wire-facing: at most 1024 x 1024 tiles), a tile id outside the grid,
-  /// or an empty tile window (route only non-empty windows); kNotFound
-  /// for an unresolved handle; kInternal for a sweep that threw.
+  /// kInvalidArgument for bad geometry, a bad tile grid (each side in
+  /// [1, kMaxTileGridSide]), a tile id outside the grid, or an empty tile
+  /// window (route only non-empty windows); kNotFound for an unresolved
+  /// handle; kInternal for a sweep that threw.
   Status ExecuteTileFragmentChecked(
       const HeatmapRequestV2& request, int tile_rows, int tile_cols,
       int tile_id, std::optional<HeatmapResponse>* response) const;
 
-  /// The serving-stack submit path: like Execute(HeatmapRequestV2) but
-  /// every failure comes back as a Status instead of a CHECK or an
-  /// exception — kInvalidArgument for bad geometry, kNotFound for a
-  /// handle this registry does not resolve, kInternal for a sweep that
-  /// threw. `*response` is engaged only on ok (an optional because a
-  /// HeatmapResponse has no empty state — its grid carries dimensions).
+  /// Computes one request synchronously on the calling thread, bypassing
+  /// the queue (but not the result cache) — exactly the code path workers
+  /// run: probe the cache with the handle's precomputed hash, sweep on a
+  /// miss, admit the response. Copy-free on every path: the circle data is
+  /// only ever shared, never duplicated. Every failure comes back as a
+  /// Status instead of a CHECK or an exception — kInvalidArgument for bad
+  /// geometry, kNotFound for a handle this registry does not resolve,
+  /// kInternal for a sweep that threw. `*response` is engaged only on ok
+  /// (an optional because a HeatmapResponse has no empty state — its grid
+  /// carries dimensions).
   /// This is what a server facing untrusted requests calls (see
   /// serve/wire_server.h).
   Status ExecuteChecked(const HeatmapRequestV2& request,
@@ -294,8 +262,8 @@ class HeatmapEngine {
   SweepCacheStats cache_stats() const;
 
  private:
-  // The canonical in-flight form both request structs reduce to: a pinned
-  // immutable circle-set snapshot plus the raster geometry.
+  // The in-flight form of a request: a pinned immutable circle-set
+  // snapshot plus the raster geometry.
   struct ResolvedRequest {
     std::shared_ptr<const CircleSetSnapshot> set;
     Rect domain;
@@ -325,7 +293,7 @@ class HeatmapEngine {
   const std::shared_ptr<CircleSetRegistry> registry_;
   // Result cache shared by all workers (internally synchronized); null
   // when options_.cache_bytes == 0. Const pointer, mutable pointee: the
-  // cache may be consulted from the const Execute path.
+  // cache may be consulted from the const Execute* paths.
   const std::unique_ptr<SweepCache> cache_;
 
   struct PendingRequest {

@@ -197,11 +197,12 @@ std::vector<CircleSetEdit> HeatmapSession::TakeCircleEdits() {
   return out;
 }
 
-HeatmapResponse HeatmapSession::RenderThroughEngine(HeatmapEngine& engine,
-                                                    const Rect& domain,
-                                                    int width, int height) {
+Status HeatmapSession::RenderThroughEngine(
+    HeatmapEngine& engine, const Rect& domain, int width, int height,
+    std::optional<HeatmapResponse>* response) {
   const CircleSetHandle handle = PublishCircles(engine.registry());
-  return engine.Execute(HeatmapRequestV2{handle, domain, width, height});
+  return engine.ExecuteChecked(HeatmapRequestV2{handle, domain, width, height},
+                               response);
 }
 
 }  // namespace rnnhm

@@ -22,9 +22,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "core/crest.h"
 #include "core/crest_l2.h"
 #include "core/crest_parallel.h"
@@ -171,10 +173,11 @@ class HeatmapSession {
   /// current circles: the serving-path analogue of Rebuild. On a
   /// cache-enabled engine, ticks whose circle set matches one already
   /// served — by this or any other session sharing the engine — come back
-  /// `from_cache`, bit-identical to a fresh sweep.
-  HeatmapResponse RenderThroughEngine(HeatmapEngine& engine,
-                                      const Rect& domain, int width,
-                                      int height);
+  /// `from_cache`, bit-identical to a fresh sweep. Failures come back as
+  /// ExecuteChecked reports them; `*response` is engaged only on ok.
+  Status RenderThroughEngine(HeatmapEngine& engine, const Rect& domain,
+                             int width, int height,
+                             std::optional<HeatmapResponse>* response);
 
   /// The dirty rects (edited circles' footprint bounding boxes) accumulated
   /// since the last RasterIncremental (exposed for tests and monitoring;

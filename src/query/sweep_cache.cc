@@ -28,25 +28,25 @@ void HashDouble(uint64_t* h, double v) {
   HashBytes(h, &bits, sizeof(bits));
 }
 
+// Fixed per-entry key overhead charged against the byte budget. The value
+// is pinned (it was the size of the former inline request struct under gcc
+// on x86-64) so admission and eviction stay byte-for-byte stable across
+// builds and API changes.
+constexpr size_t kEntryKeyBytes = 72;
+
 // Resident footprint of one entry: the memoized grid at its serialized
 // size plus the key's circle payload (what dominates in practice).
-// Deliberately conservative for v2 entries: several entries sharing one
-// snapshot each charge the full circle payload, so the budget over- (never
-// under-) estimates residency and hit/miss behavior matches the legacy
-// per-request accounting exactly.
+// Deliberately conservative: several entries sharing one snapshot each
+// charge the full circle payload, so the budget over- (never under-)
+// estimates residency.
 size_t EntryBytes(size_t num_circles, const HeatmapResponse& response) {
   return SerializedSizeBytes(response.grid) + num_circles * sizeof(NnCircle) +
-         sizeof(HeatmapRequest);
+         kEntryKeyBytes;
 }
 
 }  // namespace
 
 SweepCache::SweepCache(SweepCacheOptions options) : options_(options) {}
-
-SweepCacheKey SweepCache::KeyOf(const HeatmapRequest& request) {
-  return SweepCacheKey{HashCircleSet(request.circles, request.metric),
-                       request.domain, request.width, request.height};
-}
 
 uint64_t SweepCache::Fingerprint(const SweepCacheKey& key) {
   uint64_t h = kFnvOffset;
@@ -62,10 +62,6 @@ uint64_t SweepCache::Fingerprint(const SweepCacheKey& key) {
   HashBytes(&h, &key.tile_row_lo, sizeof(key.tile_row_lo));
   HashBytes(&h, &key.tile_row_hi, sizeof(key.tile_row_hi));
   return h;
-}
-
-uint64_t SweepCache::Fingerprint(const HeatmapRequest& request) {
-  return Fingerprint(KeyOf(request));
 }
 
 template <typename SameSet>
@@ -113,11 +109,6 @@ std::optional<HeatmapResponse> SweepCache::Lookup(
   });
 }
 
-std::optional<HeatmapResponse> SweepCache::Lookup(
-    const HeatmapRequest& request) {
-  return Lookup(KeyOf(request), request.circles, request.metric);
-}
-
 void SweepCache::Insert(const SweepCacheKey& key,
                         std::shared_ptr<const CircleSetSnapshot> set,
                         const HeatmapResponse& response) {
@@ -144,15 +135,6 @@ void SweepCache::Insert(const SweepCacheKey& key,
   ++stats_.entries;
   ++stats_.insertions;
   EvictToFitLocked();
-}
-
-void SweepCache::Insert(HeatmapRequest request,
-                        const HeatmapResponse& response) {
-  const Metric metric = request.metric;
-  const SweepCacheKey key{HashCircleSet(request.circles, metric),
-                          request.domain, request.width, request.height};
-  Insert(key, CircleSetSnapshot::Make(std::move(request.circles), metric),
-         response);
 }
 
 void SweepCache::EvictToFitLocked() {

@@ -11,9 +11,8 @@
 //
 // Keys are SweepCacheKeys: the circle set's precomputed content hash
 // (HashCircleSet, which folds in the metric) plus domain and resolution.
-// Handle-based (v2) lookups therefore cost O(1) in the circle count — the
-// hash travels with the CircleSetHandle and is never recomputed — while
-// legacy inline requests hash their vector once per lookup, as before.
+// Handle-based lookups therefore cost O(1) in the circle count — the hash
+// travels with the CircleSetHandle and is never recomputed.
 // Every hit additionally verifies full content equality against the
 // entry's snapshot (pointer equality short-circuits for snapshots shared
 // through a CircleSetRegistry), so a fingerprint collision degrades to a
@@ -92,17 +91,13 @@ class SweepCache {
       const std::shared_ptr<const CircleSetSnapshot>& set)
       RNNHM_EXCLUDES(mu_);
 
-  /// As above for callers without a snapshot (the legacy inline path):
-  /// collision verification compares against `circles`/`metric` directly,
-  /// with no copy and no re-hash.
+  /// As above for callers without a snapshot (tile fragments, whose
+  /// circle subset is gathered per lookup): collision verification
+  /// compares against `circles`/`metric` directly, with no copy and no
+  /// re-hash.
   std::optional<HeatmapResponse> Lookup(const SweepCacheKey& key,
                                         std::span<const NnCircle> circles,
                                         Metric metric) RNNHM_EXCLUDES(mu_);
-
-  /// Legacy convenience: hashes the request's circles and looks up. Cost
-  /// scales with the circle count; prefer the key overloads.
-  std::optional<HeatmapResponse> Lookup(const HeatmapRequest& request)
-      RNNHM_EXCLUDES(mu_);
 
   /// Admits `response` for `key`, evicting LRU entries to fit. `set` must
   /// be the snapshot the response was computed from (its hash must equal
@@ -113,28 +108,15 @@ class SweepCache {
               std::shared_ptr<const CircleSetSnapshot> set,
               const HeatmapResponse& response) RNNHM_EXCLUDES(mu_);
 
-  /// Legacy convenience: snapshots the request's circles (moving them out
-  /// of the by-value request) and admits under its content key.
-  void Insert(HeatmapRequest request, const HeatmapResponse& response)
-      RNNHM_EXCLUDES(mu_);
-
   /// Current counters (cumulative hit/miss/insert/evict, resident sizes).
   SweepCacheStats stats() const RNNHM_EXCLUDES(mu_);
 
   /// Drops every entry (counters other than entries/bytes are kept).
   void Clear() RNNHM_EXCLUDES(mu_);
 
-  /// The canonical cache key of a legacy inline request: hashes the
-  /// circle vector (O(n)). Handle paths build the key directly from the
-  /// handle's content hash instead.
-  static SweepCacheKey KeyOf(const HeatmapRequest& request);
-
   /// The 64-bit index fingerprint of a key (FNV-1a over its fields).
   /// Exposed for tests and for callers that shard by key.
   static uint64_t Fingerprint(const SweepCacheKey& key);
-
-  /// Legacy convenience: Fingerprint(KeyOf(request)).
-  static uint64_t Fingerprint(const HeatmapRequest& request);
 
  private:
   struct Entry {

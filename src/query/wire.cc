@@ -62,8 +62,8 @@ static_assert(wl::Contiguous(wl::kStatsResponseLayout) &&
 static_assert(wl::Contiguous(wl::kCircleLayout) &&
               wl::TotalBytes(wl::kCircleLayout) == kCircleBytes);
 
-// Routing peeks: PeekRequestSetHash / PeekRouteInfo read these raw
-// offsets without decoding, so they must match the tables exactly.
+// Routing peeks: PeekRouteInfo reads these raw offsets without decoding,
+// so they must match the tables exactly.
 static_assert(wl::OffsetOf(wl::kRequestLayout, "set_hash") ==
               kRequestSetHashOffset);
 static_assert(wl::OffsetOf(wl::kDeltaLayout, "base_hash") ==
@@ -206,6 +206,144 @@ std::nullopt_t Fail(std::string* error, const char* message) {
   return std::nullopt;
 }
 
+std::nullopt_t Fail(Status* status, std::string message) {
+  if (status != nullptr) *status = Status::InvalidArgument(std::move(message));
+  return std::nullopt;
+}
+
+// --- Request decoding -----------------------------------------------------
+// Plain, tile and delta frames open with the same header prefix (magic,
+// version, metric, flags, reserved, raster size, domain, the 64-bit hash
+// slot); plain and tile frames also share the circle count and the inline
+// payload. One reader and one validator serve all three; `noun` words
+// each kind's error messages. The helpers return the error message, empty
+// on success.
+
+struct RequestKind {
+  const char* magic;
+  const char* noun;
+  uint8_t allowed_flags;
+  bool has_tile_fields;  // tile grid + id between count and payload
+};
+
+constexpr RequestKind kPlainKind{kRequestMagic, "request", kFlagInlineCircles,
+                                 false};
+constexpr RequestKind kTileKind{kTileRequestMagic, "tile request",
+                                kFlagInlineCircles, true};
+constexpr RequestKind kDeltaKind{kDeltaRequestMagic, "delta request", 0,
+                                 false};
+
+struct RequestPrefix {
+  uint8_t metric = 0;
+  uint8_t flags = 0;
+  uint16_t reserved = 0;
+  int32_t width = 0;
+  int32_t height = 0;
+  Rect domain;
+  uint64_t hash = 0;  // set_hash; base_hash of a delta
+};
+
+// Reads the shared prefix; fails only on a wrong magic or version. The
+// fields are validated by CheckRequestPrefix once the caller has read the
+// rest of its fixed header, so a truncation anywhere in the header
+// reports one error.
+std::string ReadRequestPrefix(Reader& r, const RequestKind& kind,
+                              RequestPrefix* p) {
+  if (!r.Magic(kind.magic)) return std::string("bad ") + kind.noun + " magic";
+  if (r.U32() != kWireVersion) return "unsupported wire version";
+  p->metric = r.U8();
+  p->flags = r.U8();
+  p->reserved = r.U16();
+  p->width = r.I32();
+  p->height = r.I32();
+  p->domain.lo.x = r.F64();
+  p->domain.lo.y = r.F64();
+  p->domain.hi.x = r.F64();
+  p->domain.hi.y = r.F64();
+  p->hash = r.U64();
+  return {};
+}
+
+std::string CheckRequestPrefix(const Reader& r, const RequestKind& kind,
+                               const RequestPrefix& p) {
+  if (!r.ok()) return std::string(kind.noun) + " header truncated";
+  if (p.metric > static_cast<uint8_t>(Metric::kL2)) return "unknown metric";
+  if ((p.flags & ~kind.allowed_flags) != 0 || p.reserved != 0) {
+    return std::string("reserved ") + kind.noun + " bits set";
+  }
+  if (p.width <= 0 || p.height <= 0) return "non-positive raster size";
+  if (!(p.domain.lo.x < p.domain.hi.x) || !(p.domain.lo.y < p.domain.hi.y)) {
+    return "degenerate request domain";
+  }
+  return {};
+}
+
+// Decodes a plain or tile frame (per `kind`) into `*request`.
+std::string DecodeCircleRequest(std::span<const uint8_t> bytes,
+                                const RequestKind& kind,
+                                WireTileRequest* request) {
+  Reader r(bytes.data(), bytes.size());
+  RequestPrefix prefix;
+  if (std::string error = ReadRequestPrefix(r, kind, &prefix);
+      !error.empty()) {
+    return error;
+  }
+  const uint64_t count = r.U64();
+  if (kind.has_tile_fields) {
+    request->tile_rows = r.I32();
+    request->tile_cols = r.I32();
+    request->tile_id = r.I32();
+  }
+  if (std::string error = CheckRequestPrefix(r, kind, prefix);
+      !error.empty()) {
+    return error;
+  }
+  request->metric = static_cast<Metric>(prefix.metric);
+  request->set_hash = prefix.hash;
+  request->inline_circles = (prefix.flags & kFlagInlineCircles) != 0;
+  request->domain = prefix.domain;
+  request->width = prefix.width;
+  request->height = prefix.height;
+  if (kind.has_tile_fields) {
+    if (request->tile_rows < 1 || request->tile_cols < 1 ||
+        request->tile_rows > kMaxTileGridSide ||
+        request->tile_cols > kMaxTileGridSide) {
+      return "tile grid outside the wire ceiling";
+    }
+    if (request->tile_id < 0 ||
+        request->tile_id >= request->tile_rows * request->tile_cols) {
+      return "tile id outside the tile grid";
+    }
+  }
+  if (!request->inline_circles) {
+    if (count != 0) {
+      return std::string("by-reference ") + kind.noun + " carries circles";
+    }
+    if (r.remaining() != 0) {
+      return std::string("trailing ") + kind.noun + " bytes";
+    }
+    return {};
+  }
+  if (r.remaining() / kCircleBytes < count ||
+      r.remaining() != count * kCircleBytes) {
+    return "circle payload size mismatch";
+  }
+  request->circles.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    NnCircle c;
+    c.center.x = r.F64();
+    c.center.y = r.F64();
+    c.radius = r.F64();
+    c.client = r.I32();
+    request->circles.push_back(c);
+  }
+  if (!r.ok()) return "circle payload truncated";
+  if (HashCircleSet(request->circles, request->metric) != request->set_hash) {
+    return "circle payload does not match its content hash";
+  }
+  return {};
+}
+
 }  // namespace
 
 StatusCode FromWireStatus(WireStatus status) {
@@ -283,80 +421,14 @@ std::vector<uint8_t> EncodeRequest(const WireRequest& request) {
 }
 
 std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
-                                         std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kRequestMagic)) return Fail(error, "bad request magic");
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
-  }
-  WireRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.set_hash = r.U64();
-  const uint64_t count = r.U64();
-  if (!r.ok()) return Fail(error, "request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
-  }
-  request.metric = static_cast<Metric>(metric);
-  if ((flags & ~kFlagInlineCircles) != 0 || reserved != 0) {
-    return Fail(error, "reserved request bits set");
-  }
-  request.inline_circles = (flags & kFlagInlineCircles) != 0;
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
-  if (!request.inline_circles) {
-    if (count != 0) return Fail(error, "by-reference request carries circles");
-    if (r.remaining() != 0) return Fail(error, "trailing request bytes");
-    return request;
-  }
-  if (r.remaining() / kCircleBytes < count ||
-      r.remaining() != count * kCircleBytes) {
-    return Fail(error, "circle payload size mismatch");
-  }
-  request.circles.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NnCircle c;
-    c.center.x = r.F64();
-    c.center.y = r.F64();
-    c.radius = r.F64();
-    c.client = r.I32();
-    request.circles.push_back(c);
-  }
-  if (!r.ok()) return Fail(error, "circle payload truncated");
-  if (HashCircleSet(request.circles, request.metric) != request.set_hash) {
-    return Fail(error, "circle payload does not match its content hash");
-  }
-  return request;
-}
-
-std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
                                          Status* status) {
-  std::string error;
-  std::optional<WireRequest> request = DecodeRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
+  if (status != nullptr) *status = Status::Ok();
+  WireTileRequest request;
+  if (std::string error = DecodeCircleRequest(bytes, kPlainKind, &request);
+      !error.empty()) {
+    return Fail(status, std::move(error));
   }
-  return request;
-}
-
-std::optional<uint64_t> PeekRequestSetHash(std::span<const uint8_t> bytes) {
-  const std::optional<WireRouteInfo> info = PeekRouteInfo(bytes);
-  if (!info.has_value()) return std::nullopt;
-  return info->route_hash;
+  return WireRequest(std::move(request));
 }
 
 std::optional<WireRouteInfo> PeekRouteInfo(std::span<const uint8_t> bytes) {
@@ -439,54 +511,38 @@ bool IsDeltaRequest(std::span<const uint8_t> bytes) {
 }
 
 std::optional<WireDeltaRequest> DecodeDeltaRequest(
-    std::span<const uint8_t> bytes, std::string* error) {
+    std::span<const uint8_t> bytes, Status* status) {
+  if (status != nullptr) *status = Status::Ok();
   Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kDeltaRequestMagic)) {
-    return Fail(error, "bad delta request magic");
-  }
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
+  RequestPrefix prefix;
+  if (std::string error = ReadRequestPrefix(r, kDeltaKind, &prefix);
+      !error.empty()) {
+    return Fail(status, std::move(error));
   }
   WireDeltaRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.base_hash = r.U64();
   request.new_hash = r.U64();
   const uint64_t count = r.U64();
-  if (!r.ok()) return Fail(error, "delta request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
+  if (std::string error = CheckRequestPrefix(r, kDeltaKind, prefix);
+      !error.empty()) {
+    return Fail(status, std::move(error));
   }
-  request.metric = static_cast<Metric>(metric);
-  if (flags != 0 || reserved != 0) {
-    return Fail(error, "reserved delta request bits set");
-  }
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
+  request.metric = static_cast<Metric>(prefix.metric);
+  request.base_hash = prefix.hash;
+  request.domain = prefix.domain;
+  request.width = prefix.width;
+  request.height = prefix.height;
   // Every edit is at least one op byte, so a count over the remaining
   // payload can never be satisfied — reject before reserving memory.
   if (count > r.remaining()) {
-    return Fail(error, "delta edit count over the payload size");
+    return Fail(status, "delta edit count over the payload size");
   }
   request.edits.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     CircleSetEdit edit;
     const uint8_t kind = r.U8();
-    if (!r.ok()) return Fail(error, "delta edit list truncated");
+    if (!r.ok()) return Fail(status, "delta edit list truncated");
     if (kind > static_cast<uint8_t>(CircleSetEdit::Kind::kSwapRemove)) {
-      return Fail(error, "unknown delta edit kind");
+      return Fail(status, "unknown delta edit kind");
     }
     edit.kind = static_cast<CircleSetEdit::Kind>(kind);
     switch (edit.kind) {
@@ -507,23 +563,10 @@ std::optional<WireDeltaRequest> DecodeDeltaRequest(
         edit.index = r.U32();
         break;
     }
-    if (!r.ok()) return Fail(error, "delta edit list truncated");
+    if (!r.ok()) return Fail(status, "delta edit list truncated");
     request.edits.push_back(edit);
   }
-  if (r.remaining() != 0) {
-    return Fail(error, "trailing delta request bytes");
-  }
-  return request;
-}
-
-std::optional<WireDeltaRequest> DecodeDeltaRequest(
-    std::span<const uint8_t> bytes, Status* status) {
-  std::string error;
-  std::optional<WireDeltaRequest> request = DecodeDeltaRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
-  }
+  if (r.remaining() != 0) return Fail(status, "trailing delta request bytes");
   return request;
 }
 
@@ -531,18 +574,9 @@ WireTileRequest MakeWireTileRequest(const CircleSetSnapshot& set,
                                     const Rect& domain, int width, int height,
                                     bool include_circles, int tile_rows,
                                     int tile_cols, int tile_id) {
-  WireTileRequest request;
-  request.metric = set.metric();
-  request.set_hash = set.content_hash();
-  request.inline_circles = include_circles;
-  if (include_circles) request.circles = set.circles();
-  request.domain = domain;
-  request.width = width;
-  request.height = height;
-  request.tile_rows = tile_rows;
-  request.tile_cols = tile_cols;
-  request.tile_id = tile_id;
-  return request;
+  return WireTileRequest{
+      MakeWireRequest(set, domain, width, height, include_circles),
+      tile_rows, tile_cols, tile_id};
 }
 
 std::vector<uint8_t> EncodeTileRequest(const WireTileRequest& request) {
@@ -583,86 +617,12 @@ bool IsTileRequest(std::span<const uint8_t> bytes) {
 }
 
 std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
-                                                 std::string* error) {
-  Reader r(bytes.data(), bytes.size());
-  if (!r.Magic(kTileRequestMagic)) return Fail(error, "bad tile request magic");
-  if (r.U32() != kWireVersion) {
-    return Fail(error, "unsupported wire version");
-  }
-  WireTileRequest request;
-  const uint8_t metric = r.U8();
-  const uint8_t flags = r.U8();
-  const uint16_t reserved = r.U16();
-  request.width = r.I32();
-  request.height = r.I32();
-  request.domain.lo.x = r.F64();
-  request.domain.lo.y = r.F64();
-  request.domain.hi.x = r.F64();
-  request.domain.hi.y = r.F64();
-  request.set_hash = r.U64();
-  const uint64_t count = r.U64();
-  request.tile_rows = r.I32();
-  request.tile_cols = r.I32();
-  request.tile_id = r.I32();
-  if (!r.ok()) return Fail(error, "tile request header truncated");
-  if (metric > static_cast<uint8_t>(Metric::kL2)) {
-    return Fail(error, "unknown metric");
-  }
-  request.metric = static_cast<Metric>(metric);
-  if ((flags & ~kFlagInlineCircles) != 0 || reserved != 0) {
-    return Fail(error, "reserved tile request bits set");
-  }
-  request.inline_circles = (flags & kFlagInlineCircles) != 0;
-  if (request.width <= 0 || request.height <= 0) {
-    return Fail(error, "non-positive raster size");
-  }
-  if (!(request.domain.lo.x < request.domain.hi.x) ||
-      !(request.domain.lo.y < request.domain.hi.y)) {
-    return Fail(error, "degenerate request domain");
-  }
-  if (request.tile_rows < 1 || request.tile_cols < 1 ||
-      request.tile_rows > kMaxWireTileGridSide ||
-      request.tile_cols > kMaxWireTileGridSide) {
-    return Fail(error, "tile grid outside the wire ceiling");
-  }
-  if (request.tile_id < 0 ||
-      request.tile_id >= request.tile_rows * request.tile_cols) {
-    return Fail(error, "tile id outside the tile grid");
-  }
-  if (!request.inline_circles) {
-    if (count != 0) {
-      return Fail(error, "by-reference tile request carries circles");
-    }
-    if (r.remaining() != 0) return Fail(error, "trailing tile request bytes");
-    return request;
-  }
-  if (r.remaining() / kCircleBytes < count ||
-      r.remaining() != count * kCircleBytes) {
-    return Fail(error, "circle payload size mismatch");
-  }
-  request.circles.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NnCircle c;
-    c.center.x = r.F64();
-    c.center.y = r.F64();
-    c.radius = r.F64();
-    c.client = r.I32();
-    request.circles.push_back(c);
-  }
-  if (!r.ok()) return Fail(error, "circle payload truncated");
-  if (HashCircleSet(request.circles, request.metric) != request.set_hash) {
-    return Fail(error, "circle payload does not match its content hash");
-  }
-  return request;
-}
-
-std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
                                                  Status* status) {
-  std::string error;
-  std::optional<WireTileRequest> request = DecodeTileRequest(bytes, &error);
-  if (status != nullptr) {
-    *status = request.has_value() ? Status::Ok()
-                                  : Status::InvalidArgument(std::move(error));
+  if (status != nullptr) *status = Status::Ok();
+  WireTileRequest request;
+  if (std::string error = DecodeCircleRequest(bytes, kTileKind, &request);
+      !error.empty()) {
+    return Fail(status, std::move(error));
   }
   return request;
 }
@@ -784,18 +744,6 @@ std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
   }
   response.response.emplace(HeatmapResponse{
       std::move(*grid), stats, l2_stats, from_cache != 0, cache});
-  return response;
-}
-
-std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
-                                           Status* status) {
-  std::string error;
-  std::optional<WireResponse> response = DecodeResponse(bytes, &error);
-  if (status != nullptr) {
-    *status = response.has_value()
-                  ? Status::Ok()
-                  : Status::InvalidArgument(std::move(error));
-  }
   return response;
 }
 
@@ -921,9 +869,5 @@ std::optional<std::vector<uint8_t>> ReadFrame(std::FILE* in,
   }
   return payload;
 }
-
-// ServeWireStream is defined in serve/wire_server.cc: the serve layer owns
-// the loop now, and the FILE* signature here stays as its compatibility
-// shim.
 
 }  // namespace rnnhm

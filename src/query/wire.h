@@ -21,9 +21,13 @@
 // "RNHM" byte format).
 //
 // Framing: a stream is a sequence of [u32 LE payload length][payload]
-// frames (WriteFrame/ReadFrame); ServeWireStream drains request frames
-// from a FILE* and answers each with one response frame, in order — the
-// loop behind `rnnhm_cli serve`.
+// frames (WriteFrame/ReadFrame). The server side — decode, registry,
+// engine, one response frame per request frame, in order — is
+// serve/wire_server.h's WireServer.
+//
+// Decoders of untrusted input (requests) report failures as a Status
+// (kInvalidArgument plus a message); decoders of replies a client reads
+// (responses, stats replies) report them as a message string.
 //
 // Versioning rules: kWireVersion bumps on any layout change; decoders
 // reject other versions (no negotiation — a shard fleet is deployed in
@@ -43,6 +47,7 @@
 #include "common/status.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
+#include "tile/tile_plan.h"
 
 namespace rnnhm {
 
@@ -109,12 +114,8 @@ std::vector<uint8_t> EncodeRequest(const WireRequest& request);
 /// Parses and validates a request message. Returns nullopt on any
 /// malformed input (short buffer, bad magic/version/metric, nonzero
 /// reserved bytes, non-positive raster, degenerate domain, payload size
-/// mismatch, inline content-hash mismatch) with `*error` describing it.
-std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
-                                         std::string* error);
-
-/// Status-returning form: `*status` is kInvalidArgument (with the same
-/// message) whenever the string form would fail, kOk otherwise.
+/// mismatch, inline content-hash mismatch) with `*status`
+/// kInvalidArgument describing it; `*status` is kOk on success.
 std::optional<WireRequest> DecodeRequest(std::span<const uint8_t> bytes,
                                          Status* status);
 
@@ -138,10 +139,6 @@ std::vector<uint8_t> EncodeErrorResponse(WireStatus status,
 /// validated by heatmap/serialization's DecodeHeatmap).
 std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
                                            std::string* error);
-
-/// Status-returning form, mirroring the DecodeRequest overload.
-std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
-                                           Status* status);
 
 // --- Delta registration op (v4) -------------------------------------------
 //
@@ -180,10 +177,6 @@ bool IsDeltaRequest(std::span<const uint8_t> bytes);
 /// DecodeRequest (edit index range checks happen later, against the
 /// resolved base set).
 std::optional<WireDeltaRequest> DecodeDeltaRequest(
-    std::span<const uint8_t> bytes, std::string* error);
-
-/// Status-returning form, mirroring the DecodeRequest overload.
-std::optional<WireDeltaRequest> DecodeDeltaRequest(
     std::span<const uint8_t> bytes, Status* status);
 
 // --- Tile fragment op (v6) ------------------------------------------------
@@ -197,23 +190,12 @@ std::optional<WireDeltaRequest> DecodeDeltaRequest(
 // peer computes the same windows from the same request fields (they are a
 // pure function of the geometry), so a router can stitch fragments from
 // different shards into the full raster, bit-identical to an untiled
-// Execute. The header shares the plain request's prefix through set_hash,
-// so hash-routing peeks work unchanged on tile frames.
-
-/// Ceiling on the tile grid a server accepts from the wire, per side
-/// (mirrors the engine's ExecuteTileFragmentChecked bound).
-inline constexpr int kMaxWireTileGridSide = 1024;
+// response. The header is the whole plain request header followed by the
+// tile grid and id, so hash-routing peeks work unchanged on tile frames.
 
 /// A decoded (or to-be-encoded) tile fragment request: a plain request
 /// plus the tile grid shape and the row-major tile id to compute.
-struct WireTileRequest {
-  Metric metric = Metric::kLInf;
-  uint64_t set_hash = 0;
-  bool inline_circles = false;
-  std::vector<NnCircle> circles;
-  Rect domain;
-  int width = 0;
-  int height = 0;
+struct WireTileRequest : WireRequest {
   int tile_rows = 1;
   int tile_cols = 1;
   int tile_id = 0;
@@ -233,12 +215,8 @@ std::vector<uint8_t> EncodeTileRequest(const WireTileRequest& request);
 bool IsTileRequest(std::span<const uint8_t> bytes);
 
 /// Parses and validates a tile request with the same strictness as
-/// DecodeRequest, plus: the tile grid must fit [1, kMaxWireTileGridSide]
-/// per side and `tile_id` must lie inside it.
-std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
-                                                 std::string* error);
-
-/// Status-returning form, mirroring the DecodeRequest overload.
+/// DecodeRequest, plus: the tile grid must fit [1, kMaxTileGridSide] per
+/// side and `tile_id` must lie inside it.
 std::optional<WireTileRequest> DecodeTileRequest(std::span<const uint8_t> bytes,
                                                  Status* status);
 
@@ -296,30 +274,6 @@ bool WriteFrame(std::FILE* out, std::span<const uint8_t> payload);
 std::optional<std::vector<uint8_t>> ReadFrame(std::FILE* in,
                                               std::string* error);
 
-/// Counters of one ServeWireStream run.
-struct WireServeStats {
-  uint64_t requests = 0;        ///< frames answered (ok or error status)
-  uint64_t ok = 0;              ///< responses with status kOk
-  uint64_t errors = 0;          ///< responses with a non-kOk status
-  uint64_t sets_registered = 0; ///< distinct inline sets registered
-  uint64_t deltas = 0;          ///< delta requests answered kOk
-  uint64_t delta_splices = 0;   ///< deltas served by incremental splice
-  uint64_t delta_dirty_columns = 0;  ///< columns recomputed by splices
-  uint64_t tile_requests = 0;   ///< tile fragment requests answered
-  uint64_t tile_fragments = 0;  ///< ... of which kOk with a fragment
-};
-
-/// The hash a router partitions a request frame by, without a full
-/// decode: checks the magic/version and reads the set_hash field at its
-/// fixed header offset. nullopt when the payload is too short or is not a
-/// request frame (stats requests and garbage alike) — the caller decides
-/// whether to fan out or answer an error itself. Delta requests peek
-/// their *base* hash (it sits at the same header offset), so a router
-/// using this alone already sends a delta to the shard that saw the base;
-/// PeekRouteInfo additionally exposes the derived hash for affinity
-/// tracking.
-std::optional<uint64_t> PeekRequestSetHash(std::span<const uint8_t> bytes);
-
 /// What a router learns from a frame header without a full decode.
 struct WireRouteInfo {
   /// The hash to partition by: set_hash of a plain or tile request,
@@ -337,30 +291,12 @@ struct WireRouteInfo {
   uint32_t tile_id = 0;
 };
 
-/// Routing peek covering plain, delta, and tile request frames; nullopt
-/// for anything else (stats requests, garbage, short payloads).
+/// The routing peek: checks the magic/version and reads the hash fields
+/// at their fixed header offsets, without a full decode. Covers plain,
+/// delta and tile request frames; nullopt for anything else (stats
+/// requests, garbage, short payloads) — the caller decides whether to fan
+/// out or answer an error itself.
 std::optional<WireRouteInfo> PeekRouteInfo(std::span<const uint8_t> bytes);
-
-/// The serve loop: reads request frames from `in` until EOF, executes
-/// each against `engine` (inline sets register into engine.registry();
-/// by-reference hashes resolve there), and writes one response frame per
-/// request to `out`, in order. Malformed payloads and unknown hashes
-/// produce error-status responses and the stream continues; only a
-/// truncated frame or an I/O failure stops the loop and returns false
-/// (with `*error` set). Grids served for identical circle sets and
-/// geometry are bit-identical to a direct Execute on the same engine.
-/// Inline sets stay registered for the stream's lifetime (later
-/// by-reference requests depend on them); a long-lived server accepting
-/// unboundedly many *distinct* sets needs an eviction policy above this
-/// loop — see the ROADMAP.
-///
-/// This FILE* entry point is a thin shim over serve/wire_server.h's
-/// WireServer (where it is also defined): the transport-agnostic server
-/// serves any ByteSource/ByteSink pair, and the socket event loop feeds
-/// the same per-frame handler.
-bool ServeWireStream(std::FILE* in, std::FILE* out, HeatmapEngine& engine,
-                     WireServeStats* stats = nullptr,
-                     std::string* error = nullptr);
 
 }  // namespace rnnhm
 

@@ -109,7 +109,7 @@ class EventLoopServer {
   /// port/path from here.
   const Listener& listener() const { return listener_; }
 
-  const WireServeStats& stats() const { return wire_server_.stats(); }
+  WireStatsReply stats() const { return wire_server_.stats(); }
 
  private:
   struct Connection;

@@ -62,7 +62,7 @@ struct ServeOptions {
   /// hash: the router decodes each plain request, fans one tile
   /// sub-request per non-empty tile window to shard `tile_id %
   /// num_shards`, and stitches the returned fragments into one response
-  /// grid bit-identical to an untiled Execute. Delta and stats frames
+  /// grid bit-identical to an untiled ExecuteChecked. Delta and stats frames
   /// keep their usual routing. Requires tile_rows * tile_cols >=
   /// num_shards so every shard can be given work.
   bool route_by_tile = false;

@@ -215,17 +215,8 @@ void FoldTileFragment(RouterSlot& slot, int32_t tile_id,
     return;
   }
   TilePlan::StitchFragment(window, fragment.grid, &*slot.tile_grid);
-  slot.tile_stats.num_circles += fragment.stats.num_circles;
-  slot.tile_stats.num_skipped_circles += fragment.stats.num_skipped_circles;
-  slot.tile_stats.num_events += fragment.stats.num_events;
-  slot.tile_stats.num_labelings += fragment.stats.num_labelings;
-  slot.tile_stats.num_merged_intervals += fragment.stats.num_merged_intervals;
-  slot.tile_stats.num_elements_walked += fragment.stats.num_elements_walked;
-  slot.tile_l2.num_circles += fragment.l2_stats.num_circles;
-  slot.tile_l2.num_skipped_circles += fragment.l2_stats.num_skipped_circles;
-  slot.tile_l2.num_events += fragment.l2_stats.num_events;
-  slot.tile_l2.num_cross_events += fragment.l2_stats.num_cross_events;
-  slot.tile_l2.num_labelings += fragment.l2_stats.num_labelings;
+  slot.tile_stats += fragment.stats;
+  slot.tile_l2 += fragment.l2_stats;
   slot.tile_cache.hits += fragment.cache.hits;
   slot.tile_cache.misses += fragment.cache.misses;
   slot.tile_cache.insertions += fragment.cache.insertions;
@@ -367,13 +358,12 @@ void ShardRouter::RouteFrame(Client& client,
   // whole base raster on one shard) and tile frames pass through like
   // plain ones.
   if (options_.route_by_tile && !route->is_delta && !route->is_tile) {
-    std::string decode_error;
-    const std::optional<WireRequest> request =
-        DecodeRequest(frame, &decode_error);
+    Status status;
+    const std::optional<WireRequest> request = DecodeRequest(frame, &status);
     if (!request.has_value()) {
       slot.ready = true;
       slot.payload =
-          EncodeErrorResponse(WireStatus::kMalformedRequest, decode_error);
+          EncodeErrorResponse(ToWireStatus(status.code), status.message);
       return;
     }
     const int tile_rows = options_.tile_rows;
@@ -399,17 +389,7 @@ void ShardRouter::RouteFrame(Client& client,
     int fanned = 0;
     for (int tile_id = 0; tile_id < tile_rows * tile_cols; ++tile_id) {
       if (slot.tile_windows[tile_id].empty()) continue;
-      WireTileRequest sub;
-      sub.metric = request->metric;
-      sub.set_hash = request->set_hash;
-      sub.inline_circles = request->inline_circles;
-      sub.circles = request->circles;
-      sub.domain = request->domain;
-      sub.width = request->width;
-      sub.height = request->height;
-      sub.tile_rows = tile_rows;
-      sub.tile_cols = tile_cols;
-      sub.tile_id = tile_id;
+      const WireTileRequest sub{*request, tile_rows, tile_cols, tile_id};
       const size_t shard_index = tile_id % shards_.size();
       Shard& shard = *shards_[shard_index];
       shard.output.AppendFrame(EncodeTileRequest(sub));
@@ -666,8 +646,8 @@ Status ShardRouter::Run() {
   }
   if (options_.route_by_tile) {
     if (options_.tile_rows < 1 || options_.tile_cols < 1 ||
-        options_.tile_rows > kMaxWireTileGridSide ||
-        options_.tile_cols > kMaxWireTileGridSide) {
+        options_.tile_rows > kMaxTileGridSide ||
+        options_.tile_cols > kMaxTileGridSide) {
       return Status::InvalidArgument(
           "by-tile routing needs a tile grid within the wire ceiling");
     }

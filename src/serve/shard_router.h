@@ -21,7 +21,7 @@
 // (the shard holding the base applies the edits), and the router records
 // the derived hash's affinity to that shard so follow-up requests — and
 // chained deltas — for the derived set land where it was registered. Responses are forwarded back verbatim
-// (so a routed response is bit-identical to a direct engine Execute) and
+// (so a routed response is bit-identical to a direct engine ExecuteChecked) and
 // re-ordered per client: shard replies arrive in each shard's FIFO
 // order, and a per-client slot queue restores the client's submission
 // order. A stats request fans out to every shard and comes back as one

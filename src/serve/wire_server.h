@@ -2,12 +2,9 @@
 //
 // WireServer owns the request semantics of the wire protocol — decode,
 // registry interaction, engine execution, stats — with zero knowledge of
-// where bytes come from. Three transports drive it:
+// where bytes come from. Two transports drive it:
 //   * ServeStream(ByteSource, ByteSink) — the blocking loop (stdio,
-//     files, in-memory tests);
-//   * ServeWireStream(FILE*, ...) — the legacy entry point, kept as a
-//     thin shim over ServeStream (declared in query/wire.h so existing
-//     callers compile unchanged);
+//     files via FileByteSource/FileByteSink, in-memory tests);
 //   * EventLoopServer (serve/event_loop.h) — the nonblocking socket
 //     server, which reassembles frames itself (serve/frame_buffer.h) and
 //     calls HandleFrame per complete frame.
@@ -48,7 +45,7 @@ class WireServer {
   /// this frame performs (inline registers and delta derivations), so a
   /// transport that owns the scope — EventLoopServer keeps one per
   /// connection — releases them on disconnect. With a null scope the
-  /// registrations persist for the engine's lifetime (the legacy stream
+  /// registrations persist for the engine's lifetime (the stream
   /// behavior: later by-reference requests depend on them).
   std::vector<uint8_t> HandleFrame(std::span<const uint8_t> frame,
                                    RegistrationScope* scope = nullptr);
@@ -59,12 +56,23 @@ class WireServer {
   /// oversized frame prefix; kUnavailable when the sink fails.
   Status ServeStream(ByteSource& in, ByteSink& out);
 
-  /// Counters since construction (served by the stats op).
-  const WireServeStats& stats() const { return stats_; }
+  /// Counters since construction, exactly as the stats op reports them:
+  /// `shards` is 1 and `sets_evicted` is read from the engine's registry.
+  WireStatsReply stats() const;
 
  private:
+  // Resolves the circle set a frame names to a live handle, after the
+  // pixel-ceiling check: an inline payload registers (the bump tracked in
+  // `scope`); a by-hash reference must find a set whose content really
+  // hashes to the asked-for value; either way the set's metric must match
+  // the frame's. `delta_base` selects the delta op's error wording.
+  Status ResolveSet(WireRequest& request, bool delta_base,
+                    RegistrationScope* scope, CircleSetHandle* handle);
+
   HeatmapEngine& engine_;
-  WireServeStats stats_;
+  // Every served counter; `shards` and `sets_evicted` are filled in by
+  // stats().
+  WireStatsReply counters_;
 };
 
 }  // namespace rnnhm

@@ -43,22 +43,11 @@ std::vector<int> AxisBoundaries(const PixelAxis& axis, double lo,
 }
 
 void Accumulate(const CrestStats& s, MetricSweepStats* out) {
-  if (out == nullptr) return;
-  out->crest.num_circles += s.num_circles;
-  out->crest.num_skipped_circles += s.num_skipped_circles;
-  out->crest.num_events += s.num_events;
-  out->crest.num_labelings += s.num_labelings;
-  out->crest.num_merged_intervals += s.num_merged_intervals;
-  out->crest.num_elements_walked += s.num_elements_walked;
+  if (out != nullptr) out->crest += s;
 }
 
 void Accumulate(const CrestL2Stats& s, MetricSweepStats* out) {
-  if (out == nullptr) return;
-  out->l2.num_circles += s.num_circles;
-  out->l2.num_skipped_circles += s.num_skipped_circles;
-  out->l2.num_events += s.num_events;
-  out->l2.num_cross_events += s.num_cross_events;
-  out->l2.num_labelings += s.num_labelings;
+  if (out != nullptr) out->l2 += s;
 }
 
 // HeatmapGrid::Sample's cell lookup, verbatim (same expression order, same
@@ -76,6 +65,8 @@ void SampleCell(const Rect& domain, int res, const Point& p, int* i, int* j) {
 std::vector<TileWindow> TileWindows(const Rect& domain, int width, int height,
                                     int rows, int cols) {
   RNNHM_CHECK(width > 0 && height > 0 && rows > 0 && cols > 0);
+  RNNHM_CHECK_MSG(rows <= kMaxTileGridSide && cols <= kMaxTileGridSide,
+                  "tile grid side over kMaxTileGridSide");
   RNNHM_CHECK(domain.lo.x < domain.hi.x && domain.lo.y < domain.hi.y);
   const std::vector<int> col_bounds = AxisBoundaries(
       AxisX(domain, width), domain.lo.x, domain.hi.x - domain.lo.x, cols);

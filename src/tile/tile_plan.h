@@ -38,6 +38,12 @@
 
 namespace rnnhm {
 
+/// Ceiling on each side of a tile grid, wherever one is accepted: the wire
+/// decoder, the engine, the by-tile router and the CLI. Keeps a hostile or
+/// mistyped grid from allocating millions of tile windows, and keeps
+/// rows * cols (at most 2^20) far inside int range.
+inline constexpr int kMaxTileGridSide = 1024;
+
 /// Half-open global pixel-index window [col_lo, col_hi) x [row_lo, row_hi).
 struct TileWindow {
   int col_lo = 0;

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/brute_force.h"
 #include "core/crest.h"
+#include "core/crest_l2.h"
 #include "data/generators.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
@@ -98,6 +99,31 @@ TEST(CrestTest, ZeroRadiusCirclesAreSkipped) {
   const auto sets = DistinctNonEmpty(sink);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_TRUE(sets.count({1}));
+}
+
+// Every counter is summed by operator+= — a field added to the struct but
+// missed there would leave this test's sums at their left-hand values.
+TEST(CrestStatsTest, PlusEqualsSumsEveryField) {
+  CrestStats a{1, 2, 3, 4, 5, 6};
+  a += CrestStats{10, 20, 30, 40, 50, 60};
+  EXPECT_EQ(a.num_circles, 11u);
+  EXPECT_EQ(a.num_skipped_circles, 22u);
+  EXPECT_EQ(a.num_events, 33u);
+  EXPECT_EQ(a.num_labelings, 44u);
+  EXPECT_EQ(a.num_merged_intervals, 55u);
+  EXPECT_EQ(a.num_elements_walked, 66u);
+  static_assert(sizeof(CrestStats) == 6 * sizeof(size_t),
+                "new CrestStats field: add it to operator+= and here");
+
+  CrestL2Stats b{1, 2, 3, 4, 5};
+  b += CrestL2Stats{10, 20, 30, 40, 50};
+  EXPECT_EQ(b.num_circles, 11u);
+  EXPECT_EQ(b.num_skipped_circles, 22u);
+  EXPECT_EQ(b.num_events, 33u);
+  EXPECT_EQ(b.num_cross_events, 44u);
+  EXPECT_EQ(b.num_labelings, 55u);
+  static_assert(sizeof(CrestL2Stats) == 5 * sizeof(size_t),
+                "new CrestL2Stats field: add it to operator+= and here");
 }
 
 TEST(CrestTest, EmptyInput) {

@@ -37,6 +37,8 @@
 #include "query/heatmap_engine.h"
 #include "query/heatmap_session.h"
 #include "query/wire.h"
+#include "serve/byte_stream.h"
+#include "serve/wire_server.h"
 
 namespace rnnhm {
 namespace {
@@ -398,11 +400,15 @@ TEST(CacheDifferentialTest, HitsAreBitIdenticalToFreshSweeps) {
       plain_options.slabs_per_request = slabs;
       HeatmapEngine plain(measure, plain_options);
 
-      const HeatmapRequest request{circles, kDomain, kRaster, kRaster,
-                                   metric};
-      const HeatmapResponse cold = cached.Execute(request);
-      const HeatmapResponse warm = cached.Execute(request);
-      const HeatmapResponse fresh = plain.Execute(request);
+      const HeatmapRequestV2 request{
+          cached.registry().Register(circles, metric), kDomain, kRaster,
+          kRaster};
+      const HeatmapRequestV2 plain_request{
+          plain.registry().Register(circles, metric), kDomain, kRaster,
+          kRaster};
+      const HeatmapResponse cold = cached.Submit(request).get();
+      const HeatmapResponse warm = cached.Submit(request).get();
+      const HeatmapResponse fresh = plain.Submit(plain_request).get();
       ASSERT_FALSE(cold.from_cache);
       ASSERT_TRUE(warm.from_cache);
       EXPECT_EQ(warm.grid.values(), fresh.grid.values())
@@ -412,10 +418,10 @@ TEST(CacheDifferentialTest, HitsAreBitIdenticalToFreshSweeps) {
   }
 }
 
-// Serving API v2: for any request, the legacy inline path, the handle
-// path and a wire round-trip through the serve loop must all produce the
-// same grid, bit for bit, at every slab count.
-TEST(ServingV2DifferentialTest, InlineHandleAndWirePathsAgree) {
+// Serving API v2: for any request, a fresh sweep, a cache hit and a wire
+// round-trip through the serve loop must all produce the same grid, bit
+// for bit, at every slab count.
+TEST(ServingV2DifferentialTest, FreshCachedAndWirePathsAgree) {
   SizeInfluence measure;
   for (const Metric metric : {Metric::kLInf, Metric::kL1, Metric::kL2}) {
     const auto circles = MakeCircles(Scenario::kSnapped, 5317, 60);
@@ -426,25 +432,25 @@ TEST(ServingV2DifferentialTest, InlineHandleAndWirePathsAgree) {
       options.cache_bytes = 32 << 20;
       HeatmapEngine engine(measure, options);
 
-      // Legacy inline path.
-      const HeatmapRequest request{circles, kDomain, kRaster, kRaster,
-                                   metric};
-      const HeatmapResponse inline_response = engine.Execute(request);
-
-      // Handle path on the same engine (served from the shared cache) and
-      // on a cache-less engine (fresh sweep).
+      // Handle path on a cache-enabled engine: a miss, then a hit served
+      // from the cache.
       const CircleSetHandle handle =
           engine.registry().Register(circles, metric);
       const HeatmapRequestV2 v2{handle, kDomain, kRaster, kRaster};
-      const HeatmapResponse handle_response = engine.Execute(v2);
+      const HeatmapResponse swept_response = engine.Submit(v2).get();
+      const HeatmapResponse handle_response = engine.Submit(v2).get();
+      ASSERT_TRUE(handle_response.from_cache);
+      // ...and on a cache-less engine (fresh sweep).
       HeatmapEngineOptions plain_options;
       plain_options.num_threads = 1;
       plain_options.slabs_per_request = slabs;
       HeatmapEngine plain(measure, plain_options);
       const CircleSetHandle plain_handle =
           plain.registry().Register(circles, metric);
-      const HeatmapResponse fresh_response = plain.Execute(
-          HeatmapRequestV2{plain_handle, kDomain, kRaster, kRaster});
+      const HeatmapResponse fresh_response =
+          plain.Submit(HeatmapRequestV2{plain_handle, kDomain, kRaster,
+                                        kRaster})
+              .get();
 
       // Wire round-trip: encode -> serve loop (its own engine) -> decode.
       const auto set = CircleSetSnapshot::Make(circles, metric);
@@ -456,11 +462,14 @@ TEST(ServingV2DifferentialTest, InlineHandleAndWirePathsAgree) {
           in, EncodeRequest(MakeWireRequest(*set, kDomain, kRaster, kRaster,
                                             /*include_circles=*/true))));
       std::rewind(in);
-      HeatmapEngine server(measure, plain_options);
-      std::string error;
-      ASSERT_TRUE(ServeWireStream(in, out, server, nullptr, &error))
-          << error;
+      HeatmapEngine server_engine(measure, plain_options);
+      WireServer server(server_engine);
+      FileByteSource source(in);
+      FileByteSink sink(out);
+      const Status served = server.ServeStream(source, sink);
+      ASSERT_TRUE(served.ok()) << served.ToString();
       std::rewind(out);
+      std::string error;
       const auto frame = ReadFrame(out, &error);
       ASSERT_TRUE(frame.has_value()) << error;
       const auto wire_response = DecodeResponse(*frame, &error);
@@ -470,11 +479,11 @@ TEST(ServingV2DifferentialTest, InlineHandleAndWirePathsAgree) {
       std::fclose(in);
       std::fclose(out);
 
-      const std::vector<double>& reference = inline_response.grid.values();
+      const std::vector<double>& reference = fresh_response.grid.values();
+      EXPECT_EQ(swept_response.grid.values(), reference)
+          << MetricName(metric) << " slabs " << slabs << " (swept)";
       EXPECT_EQ(handle_response.grid.values(), reference)
-          << MetricName(metric) << " slabs " << slabs << " (handle)";
-      EXPECT_EQ(fresh_response.grid.values(), reference)
-          << MetricName(metric) << " slabs " << slabs << " (fresh handle)";
+          << MetricName(metric) << " slabs " << slabs << " (cached)";
       EXPECT_EQ(wire_response->response->grid.values(), reference)
           << MetricName(metric) << " slabs " << slabs << " (wire)";
     }

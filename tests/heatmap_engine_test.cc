@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -30,9 +31,33 @@ HeatmapEngineOptions Options(int threads, int slabs = 1) {
   return options;
 }
 
-HeatmapRequest RandomRequest(int n, uint64_t seed) {
+// A request's inputs before registration: the circles, the metric they
+// were built under, and the raster geometry.
+struct Scene {
+  std::vector<NnCircle> circles;
+  Rect domain;
+  int width = 0;
+  int height = 0;
+  Metric metric = Metric::kLInf;
+};
+
+// Registers the scene's circles with `engine` and returns its request.
+HeatmapRequestV2 Register(HeatmapEngine& engine, const Scene& scene) {
+  return HeatmapRequestV2{
+      engine.registry().Register(scene.circles, scene.metric), scene.domain,
+      scene.width, scene.height};
+}
+
+std::vector<HeatmapRequestV2> RegisterAll(HeatmapEngine& engine,
+                                          const std::vector<Scene>& scenes) {
+  std::vector<HeatmapRequestV2> requests;
+  for (const Scene& scene : scenes) requests.push_back(Register(engine, scene));
+  return requests;
+}
+
+Scene RandomRequest(int n, uint64_t seed) {
   Rng rng(seed);
-  HeatmapRequest req;
+  Scene req;
   req.circles = RandomCircles(n, rng);
   req.domain = Rect{{-0.1, -0.1}, {1.1, 1.1}};
   req.width = 64;
@@ -40,8 +65,8 @@ HeatmapRequest RandomRequest(int n, uint64_t seed) {
   return req;
 }
 
-std::vector<HeatmapRequest> RandomBatch(int count) {
-  std::vector<HeatmapRequest> batch;
+std::vector<Scene> RandomBatch(int count) {
+  std::vector<Scene> batch;
   for (int i = 0; i < count; ++i) {
     batch.push_back(RandomRequest(40 + 10 * i, 1000 + i));
   }
@@ -50,7 +75,7 @@ std::vector<HeatmapRequest> RandomBatch(int count) {
 
 /// The sequential reference every engine configuration must reproduce
 /// bit-for-bit.
-HeatmapGrid Reference(const HeatmapRequest& req,
+HeatmapGrid Reference(const Scene& req,
                       const InfluenceMeasure& measure) {
   return BuildHeatmapLInf(req.circles, measure, req.domain, req.width,
                           req.height);
@@ -70,7 +95,7 @@ TEST(HeatmapEngineTest, SingleThreadModeMatchesSequentialCrest) {
   HeatmapEngine engine(measure, Options(1));
   EXPECT_EQ(engine.num_threads(), 1);
   const auto batch = RandomBatch(6);
-  const auto responses = engine.RunBatch(batch);
+  const auto responses = engine.RunBatch(RegisterAll(engine, batch));
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectBitIdentical(responses[i].grid, Reference(batch[i], measure));
@@ -83,7 +108,7 @@ TEST(HeatmapEngineTest, MultiThreadBatchIsBitIdenticalToSequential) {
   HeatmapEngine engine(measure, Options(4));
   EXPECT_EQ(engine.num_threads(), 4);
   const auto batch = RandomBatch(12);
-  const auto responses = engine.RunBatch(batch);
+  const auto responses = engine.RunBatch(RegisterAll(engine, batch));
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectBitIdentical(responses[i].grid, Reference(batch[i], measure));
@@ -94,7 +119,7 @@ TEST(HeatmapEngineTest, SlabParallelSweepIsBitIdenticalToSequential) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(2, 4));
   const auto batch = RandomBatch(4);
-  const auto responses = engine.RunBatch(batch);
+  const auto responses = engine.RunBatch(RegisterAll(engine, batch));
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectBitIdentical(responses[i].grid, Reference(batch[i], measure));
   }
@@ -107,26 +132,28 @@ TEST(HeatmapEngineTest, WeightedMeasureFlowsThroughUnchanged) {
   WeightedInfluence measure(weights);
   HeatmapEngine engine(measure, Options(3));
   const auto req = RandomRequest(80, 42);
-  const auto response = engine.Submit(req).get();
+  const auto response = engine.Submit(Register(engine, req)).get();
   ExpectBitIdentical(response.grid, Reference(req, measure));
 }
 
-TEST(HeatmapEngineTest, ExecuteBypassesQueueWithSameResult) {
+TEST(HeatmapEngineTest, ExecuteCheckedBypassesQueueWithSameResult) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(2));
   const auto req = RandomRequest(50, 99);
-  ExpectBitIdentical(engine.Execute(req).grid, Reference(req, measure));
+  std::optional<HeatmapResponse> response;
+  ASSERT_TRUE(engine.ExecuteChecked(Register(engine, req), &response).ok());
+  ExpectBitIdentical(response->grid, Reference(req, measure));
 }
 
 TEST(HeatmapEngineTest, EmptyBatchAndEmptyRequestAreServed) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(2));
-  EXPECT_TRUE(engine.RunBatch(std::vector<HeatmapRequest>{}).empty());
-  HeatmapRequest req;  // no circles
+  EXPECT_TRUE(engine.RunBatch(std::vector<HeatmapRequestV2>{}).empty());
+  Scene req;  // no circles
   req.domain = Rect{{0, 0}, {1, 1}};
   req.width = 8;
   req.height = 8;
-  const auto response = engine.Submit(std::move(req)).get();
+  const auto response = engine.Submit(Register(engine, req)).get();
   for (const double v : response.grid.values()) EXPECT_EQ(v, 0.0);
   EXPECT_EQ(response.stats.num_events, 0u);
 }
@@ -143,8 +170,8 @@ TEST(HeatmapEngineTest, ConcurrentSubmissionFromManyThreadsIsRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&engine, &futures, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        futures[t].push_back(
-            engine.Submit(RandomRequest(30, 500 + t * kPerThread + i)));
+        futures[t].push_back(engine.Submit(
+            Register(engine, RandomRequest(30, 500 + t * kPerThread + i))));
       }
     });
   }
@@ -164,7 +191,9 @@ TEST(HeatmapEngineTest, PendingDrainsToZero) {
   HeatmapEngine engine(measure, Options(2));
   auto batch = RandomBatch(5);
   std::vector<std::future<HeatmapResponse>> futures;
-  for (auto& r : batch) futures.push_back(engine.Submit(std::move(r)));
+  for (const Scene& r : batch) {
+    futures.push_back(engine.Submit(Register(engine, r)));
+  }
   for (auto& f : futures) f.get();
   EXPECT_EQ(engine.pending(), 0u);
 }
@@ -174,7 +203,7 @@ TEST(HeatmapEngineTest, DestructorDrainsOutstandingRequests) {
   std::future<HeatmapResponse> future;
   {
     HeatmapEngine engine(measure, Options(1));
-    future = engine.Submit(RandomRequest(60, 7));
+    future = engine.Submit(Register(engine, RandomRequest(60, 7)));
   }  // destructor joins after serving the queue
   const auto response = future.get();
   EXPECT_GT(response.stats.num_labelings, 0u);
@@ -189,7 +218,8 @@ TEST(HeatmapEngineTest, DestructorDrainsDeepQueueAcrossWorkers) {
   {
     HeatmapEngine engine(measure, Options(2));
     for (int i = 0; i < kQueued; ++i) {
-      futures.push_back(engine.Submit(RandomRequest(40, 9000 + i)));
+      futures.push_back(
+          engine.Submit(Register(engine, RandomRequest(40, 9000 + i))));
     }
   }
   for (int i = 0; i < kQueued; ++i) {
@@ -216,15 +246,15 @@ class ThrowingInfluence : public InfluenceMeasure {
 TEST(HeatmapEngineTest, SubmitFuturePropagatesWorkerExceptions) {
   ThrowingInfluence measure;
   HeatmapEngine engine(measure, Options(2));
-  auto failing = engine.Submit(RandomRequest(40, 1));
+  auto failing = engine.Submit(Register(engine, RandomRequest(40, 1)));
   EXPECT_THROW(failing.get(), std::runtime_error);
   // The worker that threw must survive and keep serving. An empty request
   // never evaluates a nonempty set, so it succeeds on the same engine.
-  HeatmapRequest empty;
+  Scene empty;
   empty.domain = Rect{{0, 0}, {1, 1}};
   empty.width = 4;
   empty.height = 4;
-  const auto response = engine.Submit(std::move(empty)).get();
+  const auto response = engine.Submit(Register(engine, empty)).get();
   EXPECT_EQ(response.stats.num_events, 0u);
   EXPECT_EQ(engine.pending(), 0u);
 }
@@ -234,7 +264,8 @@ TEST(HeatmapEngineTest, AllFailingBatchResolvesEveryFuture) {
   HeatmapEngine engine(measure, Options(4));
   std::vector<std::future<HeatmapResponse>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(engine.Submit(RandomRequest(30, 100 + i)));
+    futures.push_back(
+        engine.Submit(Register(engine, RandomRequest(30, 100 + i))));
   }
   for (auto& f : futures) EXPECT_THROW(f.get(), std::runtime_error);
   EXPECT_EQ(engine.pending(), 0u);
@@ -246,21 +277,22 @@ TEST(HeatmapEngineTest, RunBatchKeepsRequestOrderUnderContention) {
   // size encodes its batch position.
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(4));
-  std::vector<HeatmapRequest> batch;
+  std::vector<Scene> batch;
   constexpr int kBatch = 24;
   for (int i = 0; i < kBatch; ++i) {
-    HeatmapRequest req = RandomRequest(30 + i, 700 + i);
+    Scene req = RandomRequest(30 + i, 700 + i);
     req.width = 8 + i;  // marker: response i must have width 8 + i
     batch.push_back(std::move(req));
   }
   std::thread noise([&engine] {
     std::vector<std::future<HeatmapResponse>> side;
     for (int i = 0; i < 48; ++i) {
-      side.push_back(engine.Submit(RandomRequest(20, 3000 + i)));
+      side.push_back(
+          engine.Submit(Register(engine, RandomRequest(20, 3000 + i))));
     }
     for (auto& f : side) f.get();
   });
-  const auto responses = engine.RunBatch(std::move(batch));
+  const auto responses = engine.RunBatch(RegisterAll(engine, batch));
   noise.join();
   ASSERT_EQ(responses.size(), static_cast<size_t>(kBatch));
   for (int i = 0; i < kBatch; ++i) {
@@ -275,8 +307,8 @@ std::vector<NnCircle> RandomDisks(int n, uint64_t seed) {
   return RandomCircles(n, rng);
 }
 
-HeatmapRequest L2Request(int n, uint64_t seed) {
-  HeatmapRequest req;
+Scene L2Request(int n, uint64_t seed) {
+  Scene req;
   req.circles = RandomDisks(n, seed);
   req.domain = Rect{{-0.1, -0.1}, {1.1, 1.1}};
   req.width = 56;
@@ -290,7 +322,7 @@ TEST(HeatmapEngineTest, L2RequestsMatchSequentialArcSweepBitForBit) {
   for (const int slabs : {1, 2, 4, 8}) {
     HeatmapEngine engine(measure, Options(2, slabs));
     const auto req = L2Request(60, 2100 + slabs);
-    const auto response = engine.Submit(req).get();
+    const auto response = engine.Submit(Register(engine, req)).get();
     ExpectBitIdentical(response.grid,
                        BuildHeatmapL2(req.circles, measure, req.domain,
                                       req.width, req.height));
@@ -309,7 +341,7 @@ TEST(HeatmapEngineTest, L2StatsAggregateAcrossSlabs) {
       RunCrestL2(req.circles, measure, &sink);
   for (const int slabs : {1, 4}) {
     HeatmapEngine engine(measure, Options(1, slabs));
-    const auto response = engine.Submit(req).get();
+    const auto response = engine.Submit(Register(engine, req)).get();
     EXPECT_EQ(response.l2_stats.num_circles, sequential.num_circles);
     EXPECT_EQ(response.l2_stats.num_skipped_circles,
               sequential.num_skipped_circles);
@@ -324,13 +356,13 @@ TEST(HeatmapEngineTest, L2StatsAggregateAcrossSlabs) {
 TEST(HeatmapEngineTest, MixedMetricBatchDispatchesPerRequest) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(3, 2));
-  std::vector<HeatmapRequest> batch;
-  batch.push_back(RandomRequest(40, 51));       // kLInf
-  batch.push_back(L2Request(40, 52));           // kL2
-  HeatmapRequest l1 = RandomRequest(40, 53);
+  std::vector<Scene> batch;
+  batch.push_back(RandomRequest(40, 51));  // kLInf
+  batch.push_back(L2Request(40, 52));      // kL2
+  Scene l1 = RandomRequest(40, 53);
   l1.metric = Metric::kL1;
   batch.push_back(std::move(l1));
-  const auto responses = engine.RunBatch(std::move(batch));
+  const auto responses = engine.RunBatch(RegisterAll(engine, batch));
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_GT(responses[0].stats.num_labelings, 0u);
   EXPECT_EQ(responses[0].l2_stats.num_labelings, 0u);
@@ -341,27 +373,10 @@ TEST(HeatmapEngineTest, MixedMetricBatchDispatchesPerRequest) {
 
 // --- Serving API v2: handles + registry -----------------------------------
 
-TEST(HeatmapEngineV2Test, HandleRequestsMatchLegacyInlineBitForBit) {
-  SizeInfluence measure;
-  for (const int slabs : {1, 4}) {
-    HeatmapEngine engine(measure, Options(2, slabs));
-    for (const Metric metric : {Metric::kLInf, Metric::kL1, Metric::kL2}) {
-      HeatmapRequest legacy = RandomRequest(45, 4000 + slabs);
-      legacy.metric = metric;
-      const CircleSetHandle handle =
-          engine.registry().Register(legacy.circles, metric);
-      const HeatmapResponse v2 = engine.Execute(HeatmapRequestV2{
-          handle, legacy.domain, legacy.width, legacy.height});
-      const HeatmapResponse inline_response = engine.Execute(legacy);
-      ExpectBitIdentical(v2.grid, inline_response.grid);
-    }
-  }
-}
-
 TEST(HeatmapEngineV2Test, SubmitAndRunBatchServeHandles) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(3));
-  const HeatmapRequest base = RandomRequest(50, 4100);
+  const Scene base = RandomRequest(50, 4100);
   const CircleSetHandle handle =
       engine.registry().Register(base.circles, base.metric);
   // One shared set fanned across resolutions — the registry stores the
@@ -375,7 +390,7 @@ TEST(HeatmapEngineV2Test, SubmitAndRunBatchServeHandles) {
   ASSERT_EQ(responses.size(), batch.size());
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(responses[i].grid.width(), 16 + i);
-    HeatmapRequest reference = base;
+    Scene reference = base;
     reference.width = reference.height = 16 + i;
     ExpectBitIdentical(responses[i].grid, Reference(reference, measure));
   }
@@ -384,7 +399,7 @@ TEST(HeatmapEngineV2Test, SubmitAndRunBatchServeHandles) {
 TEST(HeatmapEngineV2Test, ReleasedHandleStaysServableWhileInFlight) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, Options(2));
-  const HeatmapRequest base = RandomRequest(60, 4200);
+  const Scene base = RandomRequest(60, 4200);
   const CircleSetHandle handle =
       engine.registry().Register(base.circles, base.metric);
   // Submit pins the snapshot; releasing the registration afterwards must
@@ -402,38 +417,15 @@ TEST(HeatmapEngineV2Test, EnginesShareARegistryPassedViaOptions) {
   options.registry = registry;
   HeatmapEngine a(measure, options);
   HeatmapEngine b(measure, options);
-  const HeatmapRequest base = RandomRequest(40, 4300);
+  const Scene base = RandomRequest(40, 4300);
   const CircleSetHandle handle =
       registry->Register(base.circles, base.metric);
   const HeatmapRequestV2 request{handle, base.domain, base.width,
                                  base.height};
-  ExpectBitIdentical(a.Execute(request).grid, b.Execute(request).grid);
+  ExpectBitIdentical(a.Submit(request).get().grid,
+                     b.Submit(request).get().grid);
   EXPECT_EQ(&a.registry(), registry.get());
   EXPECT_EQ(&b.registry(), registry.get());
-}
-
-TEST(HeatmapEngineV2Test, HandleAndInlinePathsShareTheCache) {
-  SizeInfluence measure;
-  HeatmapEngineOptions options = Options(1);
-  options.cache_bytes = 16 << 20;
-  HeatmapEngine engine(measure, options);
-  const HeatmapRequest base = RandomRequest(55, 4400);
-  // Miss via the legacy inline path...
-  const HeatmapResponse cold = engine.Execute(base);
-  EXPECT_FALSE(cold.from_cache);
-  // ...hit via the handle path (same content, same geometry)...
-  const CircleSetHandle handle =
-      engine.registry().Register(base.circles, base.metric);
-  const HeatmapResponse warm = engine.Execute(
-      HeatmapRequestV2{handle, base.domain, base.width, base.height});
-  EXPECT_TRUE(warm.from_cache);
-  ExpectBitIdentical(warm.grid, cold.grid);
-  // ...and hit again through the inline const-ref path (copy-free).
-  const HeatmapResponse warm_inline = engine.Execute(base);
-  EXPECT_TRUE(warm_inline.from_cache);
-  ExpectBitIdentical(warm_inline.grid, cold.grid);
-  EXPECT_EQ(engine.cache_stats().hits, 2u);
-  EXPECT_EQ(engine.cache_stats().misses, 1u);
 }
 
 TEST(HeatmapEngineV2Test, RepeatedHandleExecutesHitWithoutRehashing) {
@@ -441,15 +433,15 @@ TEST(HeatmapEngineV2Test, RepeatedHandleExecutesHitWithoutRehashing) {
   HeatmapEngineOptions options = Options(1);
   options.cache_bytes = 16 << 20;
   HeatmapEngine engine(measure, options);
-  const HeatmapRequest base = RandomRequest(70, 4500);
+  const Scene base = RandomRequest(70, 4500);
   const CircleSetHandle handle =
       engine.registry().Register(base.circles, base.metric);
   const HeatmapRequestV2 request{handle, base.domain, base.width,
                                  base.height};
-  const HeatmapResponse first = engine.Execute(request);
+  const HeatmapResponse first = engine.Submit(request).get();
   EXPECT_FALSE(first.from_cache);
   for (int i = 0; i < 5; ++i) {
-    const HeatmapResponse again = engine.Execute(request);
+    const HeatmapResponse again = engine.Submit(request).get();
     EXPECT_TRUE(again.from_cache);
     ExpectBitIdentical(again.grid, first.grid);
   }

@@ -224,11 +224,12 @@ TEST(HeatmapSessionPublishTest, RenderThroughEngineMatchesFromScratch) {
     HeatmapEngineOptions options;
     options.num_threads = 1;
     HeatmapEngine engine(measure, options);
-    const HeatmapResponse response =
-        session.RenderThroughEngine(engine, domain, 40, 40);
+    std::optional<HeatmapResponse> response;
+    ASSERT_TRUE(
+        session.RenderThroughEngine(engine, domain, 40, 40, &response).ok());
     const HeatmapGrid reference = BuildHeatmapForMetric(
         metric, session.circles(), measure, domain, 40, 40);
-    EXPECT_EQ(response.grid.values(), reference.values());
+    EXPECT_EQ(response->grid.values(), reference.values());
   }
 }
 
@@ -245,17 +246,20 @@ TEST(HeatmapSessionPublishTest, IdenticalTicksAcrossSessionsHitTheCache) {
 
   HeatmapSession a(clients, facilities, Metric::kL2);
   HeatmapSession b(clients, facilities, Metric::kL2);
-  const HeatmapResponse first = a.RenderThroughEngine(engine, domain, 32, 32);
-  EXPECT_FALSE(first.from_cache);
+  std::optional<HeatmapResponse> first;
+  ASSERT_TRUE(a.RenderThroughEngine(engine, domain, 32, 32, &first).ok());
+  EXPECT_FALSE(first->from_cache);
   // Session b is at the identical state: its tick dedupes to the same
   // handle and is served from the shared engine cache, bit-identically.
-  const HeatmapResponse second =
-      b.RenderThroughEngine(engine, domain, 32, 32);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.grid.values(), first.grid.values());
+  std::optional<HeatmapResponse> second;
+  ASSERT_TRUE(b.RenderThroughEngine(engine, domain, 32, 32, &second).ok());
+  EXPECT_TRUE(second->from_cache);
+  EXPECT_EQ(second->grid.values(), first->grid.values());
   // An edit breaks content equality: fresh sweep, then its revert hits.
   b.MoveClient(0, {0.5, 0.5});
-  EXPECT_FALSE(b.RenderThroughEngine(engine, domain, 32, 32).from_cache);
+  std::optional<HeatmapResponse> edited;
+  ASSERT_TRUE(b.RenderThroughEngine(engine, domain, 32, 32, &edited).ok());
+  EXPECT_FALSE(edited->from_cache);
 }
 
 TEST(HeatmapSessionPublishTest, ReleasePublicationIsIdempotent) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,38 +14,6 @@
 
 namespace rnnhm {
 namespace {
-
-TEST(DirtyIntervalSetTest, MergesOverlappingAndTouchingIntervals) {
-  DirtyIntervalSet set;
-  EXPECT_TRUE(set.empty());
-  set.Add(0.4, 0.6);
-  set.Add(0.1, 0.2);
-  set.Add(0.55, 0.7);  // overlaps [0.4, 0.6]
-  set.Add(0.2, 0.25);  // touches [0.1, 0.2]
-  const auto& merged = set.Merged();
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0], (DirtyInterval{0.1, 0.25}));
-  EXPECT_EQ(merged[1], (DirtyInterval{0.4, 0.7}));
-}
-
-TEST(DirtyIntervalSetTest, PointIntervalsAndClearWork) {
-  DirtyIntervalSet set;
-  set.Add(0.5, 0.5);  // zero-radius circle footprint
-  EXPECT_FALSE(set.empty());
-  ASSERT_EQ(set.Merged().size(), 1u);
-  EXPECT_EQ(set.Merged()[0], (DirtyInterval{0.5, 0.5}));
-  set.Clear();
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.Merged().empty());
-}
-
-TEST(DirtyIntervalSetTest, RepeatedLocalEditsStayCompact) {
-  DirtyIntervalSet set;
-  for (int i = 0; i < 1000; ++i) {
-    set.Add(0.3, 0.4);  // same neighborhood over and over
-  }
-  EXPECT_EQ(set.num_pending(), 1u);  // absorbed, not accumulated
-}
 
 TEST(DirtyRegionSetTest, MergesByXOverlapAndUnionsY) {
   DirtyRegionSet set;
@@ -136,14 +105,16 @@ TEST(RecomputeDirtyColumnsTest, SpliceEqualsFullRebuild) {
             ? BuildHeatmapL2(circles, measure, domain, kRes, kRes)
             : BuildHeatmapLInf(circles, measure, domain, kRes, kRes);
 
-    // Perturb one circle; its old+new footprints bound the change.
-    DirtyIntervalSet dirty;
+    // Perturb one circle; its old+new footprints' x-extents bound the
+    // change (full-height columns: y is unbounded).
+    const double inf = std::numeric_limits<double>::infinity();
+    DirtyRegionSet dirty;
     const Rect old_box = circles[17].Bounds();
-    dirty.Add(old_box.lo.x, old_box.hi.x);
+    dirty.Add(old_box.lo.x, old_box.hi.x, -inf, inf);
     circles[17].center = {0.31, 0.62};
     circles[17].radius = 0.17;
     const Rect new_box = circles[17].Bounds();
-    dirty.Add(new_box.lo.x, new_box.hi.x);
+    dirty.Add(new_box.lo.x, new_box.hi.x, -inf, inf);
 
     const IncrementalRasterStats stats =
         RecomputeDirtyColumns(&grid, metric, circles, measure, dirty);
@@ -225,7 +196,7 @@ TEST(RecomputeDirtyColumnsTest, EmptyDirtySetLeavesTheGridUntouched) {
   const Rect domain{{0, 0}, {1, 1}};
   HeatmapGrid grid = BuildHeatmapLInf(circles, measure, domain, 16, 16);
   const std::vector<double> before = grid.values();
-  DirtyIntervalSet dirty;
+  DirtyRegionSet dirty;
   const IncrementalRasterStats stats =
       RecomputeDirtyColumns(&grid, Metric::kLInf, circles, measure, dirty);
   EXPECT_EQ(stats.dirty_slabs, 0);
@@ -238,10 +209,11 @@ TEST(RecomputeDirtyColumnsTest, OffScreenDirtyIntervalIsSkipped) {
   const Rect domain{{0, 0}, {1, 1}};
   HeatmapGrid grid = BuildHeatmapLInf(circles, measure, domain, 16, 16);
   const std::vector<double> before = grid.values();
-  DirtyIntervalSet dirty;
-  dirty.Add(5.0, 6.0);      // right of the whole domain
-  dirty.Add(1e12, 1e13);    // column ordinals far beyond int range
-  dirty.Add(-1e13, -1e12);  // and far left of it
+  const double inf = std::numeric_limits<double>::infinity();
+  DirtyRegionSet dirty;
+  dirty.Add(5.0, 6.0, -inf, inf);      // right of the whole domain
+  dirty.Add(1e12, 1e13, -inf, inf);    // column ordinals beyond int range
+  dirty.Add(-1e13, -1e12, -inf, inf);  // and far left of it
   const IncrementalRasterStats stats =
       RecomputeDirtyColumns(&grid, Metric::kLInf, circles, measure, dirty);
   EXPECT_EQ(stats.dirty_slabs, 0);

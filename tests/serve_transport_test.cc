@@ -277,7 +277,7 @@ TEST(EventLoopServerTest, RoundTripsOnEveryTransportAndPoller) {
         const CircleSetHandle handle =
             reference.registry().Register(set->circles(), set->metric());
         const HeatmapResponse expected =
-            reference.Execute(HeatmapRequestV2{handle, kDomain, 24, 24});
+            reference.Submit(HeatmapRequestV2{handle, kDomain, 24, 24}).get();
         EXPECT_EQ(decoded->response->grid.values(), expected.grid.values());
       }
       ::close(fd);

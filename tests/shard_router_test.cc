@@ -164,7 +164,8 @@ TEST(ShardRouterTest, RoutedResponsesAreBitIdenticalToDirectExecute) {
             fd, MakeWireRequest(*set, kDomain, size, size, inline_circles));
         inline_circles = false;
         const HeatmapResponse direct =
-            reference.Execute(HeatmapRequestV2{handle, kDomain, size, size});
+            reference.Submit(HeatmapRequestV2{handle, kDomain, size, size})
+                .get();
         ASSERT_EQ(routed.width(), size);
         ASSERT_EQ(routed.height(), size);
         EXPECT_EQ(routed.values(), direct.grid.values());
@@ -349,7 +350,7 @@ TEST(ShardRouterTest, ByTileRoutingIsBitIdenticalToDirectExecute) {
           fd, MakeWireRequest(*set, kDomain, size, size, inline_circles));
       inline_circles = false;
       const HeatmapResponse direct =
-          reference.Execute(HeatmapRequestV2{handle, kDomain, size, size});
+          reference.Submit(HeatmapRequestV2{handle, kDomain, size, size}).get();
       ASSERT_EQ(routed.width(), size);
       ASSERT_EQ(routed.height(), size);
       EXPECT_EQ(routed.values(), direct.grid.values());

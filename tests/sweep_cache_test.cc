@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,10 +26,24 @@ std::vector<NnCircle> MakeCircles(uint64_t seed, int n) {
   return out;
 }
 
-HeatmapRequest MakeRequest(uint64_t seed, int n = 40,
-                           Metric metric = Metric::kLInf) {
-  return HeatmapRequest{MakeCircles(seed, n), Rect{{0, 0}, {1, 1}}, 24, 24,
-                        metric};
+const Rect kUnit{{0, 0}, {1, 1}};
+
+// One cacheable computation: a circle-set snapshot and its whole-raster
+// key at 24 x 24 over the unit square.
+struct Entry {
+  std::shared_ptr<const CircleSetSnapshot> set;
+  SweepCacheKey key;
+};
+
+Entry MakeEntry(std::vector<NnCircle> circles,
+                Metric metric = Metric::kLInf) {
+  auto set = CircleSetSnapshot::Make(std::move(circles), metric);
+  const SweepCacheKey key{set->content_hash(), kUnit, 24, 24};
+  return Entry{std::move(set), key};
+}
+
+Entry MakeEntry(uint64_t seed, int n = 40, Metric metric = Metric::kLInf) {
+  return MakeEntry(MakeCircles(seed, n), metric);
 }
 
 HeatmapEngineOptions SingleWorker() {
@@ -37,19 +52,25 @@ HeatmapEngineOptions SingleWorker() {
   return options;
 }
 
-HeatmapResponse MakeResponse(const HeatmapRequest& request) {
+HeatmapRequestV2 Register(HeatmapEngine& engine, const Entry& e) {
+  return HeatmapRequestV2{
+      engine.registry().Register(e.set->circles(), e.set->metric()),
+      e.key.domain, e.key.width, e.key.height};
+}
+
+HeatmapResponse MakeResponse(const Entry& e) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, SingleWorker());
-  return engine.Execute(request);
+  return engine.Submit(Register(engine, e)).get();
 }
 
 TEST(SweepCacheTest, MissThenHitReturnsBitIdenticalResponse) {
   SweepCache cache(SweepCacheOptions{});
-  const HeatmapRequest request = MakeRequest(1);
-  EXPECT_FALSE(cache.Lookup(request).has_value());
-  const HeatmapResponse response = MakeResponse(request);
-  cache.Insert(request, response);
-  const auto hit = cache.Lookup(request);
+  const Entry e = MakeEntry(1);
+  EXPECT_FALSE(cache.Lookup(e.key, e.set).has_value());
+  const HeatmapResponse response = MakeResponse(e);
+  cache.Insert(e.key, e.set, response);
+  const auto hit = cache.Lookup(e.key, e.set);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->from_cache);
   EXPECT_EQ(hit->grid.values(), response.grid.values());
@@ -60,62 +81,63 @@ TEST(SweepCacheTest, MissThenHitReturnsBitIdenticalResponse) {
 }
 
 TEST(SweepCacheTest, FingerprintIsContentSensitive) {
-  const HeatmapRequest base = MakeRequest(2);
-  const uint64_t key = SweepCache::Fingerprint(base);
-  EXPECT_EQ(key, SweepCache::Fingerprint(MakeRequest(2)));  // deterministic
+  const Entry base = MakeEntry(2);
+  const uint64_t key = SweepCache::Fingerprint(base.key);
+  EXPECT_EQ(key, SweepCache::Fingerprint(MakeEntry(2).key));  // stable
 
-  HeatmapRequest nudged = base;
-  nudged.circles[7].center.x += 1e-12;  // one circle, one ulp-ish nudge
-  EXPECT_NE(key, SweepCache::Fingerprint(nudged));
-  HeatmapRequest resized = base;
+  std::vector<NnCircle> nudged = base.set->circles();
+  nudged[7].center.x += 1e-12;  // one circle, one ulp-ish nudge
+  EXPECT_NE(key, SweepCache::Fingerprint(MakeEntry(nudged).key));
+  SweepCacheKey resized = base.key;
   resized.width = 25;
   EXPECT_NE(key, SweepCache::Fingerprint(resized));
-  HeatmapRequest remetriced = base;
-  remetriced.metric = Metric::kL2;
-  EXPECT_NE(key, SweepCache::Fingerprint(remetriced));
-  HeatmapRequest moved_domain = base;
+  EXPECT_NE(key, SweepCache::Fingerprint(
+                     MakeEntry(base.set->circles(), Metric::kL2).key));
+  SweepCacheKey moved_domain = base.key;
   moved_domain.domain.hi.x += 0.5;
   EXPECT_NE(key, SweepCache::Fingerprint(moved_domain));
 }
 
 TEST(SweepCacheTest, PerturbedRequestMisses) {
   SweepCache cache(SweepCacheOptions{});
-  const HeatmapRequest request = MakeRequest(3);
-  cache.Insert(request, MakeResponse(request));
-  HeatmapRequest nudged = request;
-  nudged.circles.back().radius *= 1.0000001;
-  EXPECT_FALSE(cache.Lookup(nudged).has_value());
-  EXPECT_TRUE(cache.Lookup(request).has_value());
+  const Entry e = MakeEntry(3);
+  cache.Insert(e.key, e.set, MakeResponse(e));
+  std::vector<NnCircle> nudged = e.set->circles();
+  nudged.back().radius *= 1.0000001;
+  const Entry perturbed = MakeEntry(nudged);
+  EXPECT_FALSE(cache.Lookup(perturbed.key, perturbed.set).has_value());
+  EXPECT_TRUE(cache.Lookup(e.key, e.set).has_value());
 }
 
 TEST(SweepCacheTest, LruEvictsOldestFirstUnderEntryBudget) {
   SweepCacheOptions options;
   options.max_entries = 2;
   SweepCache cache(options);
-  const HeatmapRequest a = MakeRequest(10), b = MakeRequest(11),
-                       c = MakeRequest(12);
-  cache.Insert(a, MakeResponse(a));
-  cache.Insert(b, MakeResponse(b));
-  EXPECT_TRUE(cache.Lookup(a).has_value());  // touch a: b becomes LRU
-  cache.Insert(c, MakeResponse(c));          // evicts b
-  EXPECT_TRUE(cache.Lookup(a).has_value());
-  EXPECT_FALSE(cache.Lookup(b).has_value());
-  EXPECT_TRUE(cache.Lookup(c).has_value());
+  const Entry a = MakeEntry(10), b = MakeEntry(11), c = MakeEntry(12);
+  cache.Insert(a.key, a.set, MakeResponse(a));
+  cache.Insert(b.key, b.set, MakeResponse(b));
+  EXPECT_TRUE(cache.Lookup(a.key, a.set).has_value());  // b becomes LRU
+  cache.Insert(c.key, c.set, MakeResponse(c));          // evicts b
+  EXPECT_TRUE(cache.Lookup(a.key, a.set).has_value());
+  EXPECT_FALSE(cache.Lookup(b.key, b.set).has_value());
+  EXPECT_TRUE(cache.Lookup(c.key, c.set).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(SweepCacheTest, ByteBudgetBoundsResidency) {
-  const HeatmapRequest a = MakeRequest(20);
+  const Entry a = MakeEntry(20);
   const HeatmapResponse response = MakeResponse(a);
   const size_t grid_bytes = SerializedSizeBytes(response.grid);
   SweepCacheOptions options;
-  options.max_bytes = 2 * grid_bytes + 2 * sizeof(HeatmapRequest) +
-                      2 * a.circles.size() * sizeof(NnCircle);
+  // Two entries: grids, circle payloads and the fixed 72-byte per-entry
+  // key overhead.
+  options.max_bytes = 2 * grid_bytes + 2 * 72 +
+                      2 * a.set->circles().size() * sizeof(NnCircle);
   SweepCache cache(options);
   for (uint64_t seed = 20; seed < 25; ++seed) {
-    const HeatmapRequest r = MakeRequest(seed);
-    cache.Insert(r, MakeResponse(r));
+    const Entry e = MakeEntry(seed);
+    cache.Insert(e.key, e.set, MakeResponse(e));
   }
   EXPECT_LE(cache.stats().bytes, options.max_bytes);
   EXPECT_LE(cache.stats().entries, 2u);
@@ -126,22 +148,22 @@ TEST(SweepCacheTest, OversizedEntryIsNotAdmitted) {
   SweepCacheOptions options;
   options.max_bytes = 16;  // smaller than any response
   SweepCache cache(options);
-  const HeatmapRequest a = MakeRequest(30);
-  cache.Insert(a, MakeResponse(a));
+  const Entry a = MakeEntry(30);
+  cache.Insert(a.key, a.set, MakeResponse(a));
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.Lookup(a).has_value());
+  EXPECT_FALSE(cache.Lookup(a.key, a.set).has_value());
 }
 
 TEST(SweepCacheTest, ClearDropsEntriesButKeepsCounters) {
   SweepCache cache(SweepCacheOptions{});
-  const HeatmapRequest a = MakeRequest(40);
-  cache.Insert(a, MakeResponse(a));
-  ASSERT_TRUE(cache.Lookup(a).has_value());
+  const Entry a = MakeEntry(40);
+  cache.Insert(a.key, a.set, MakeResponse(a));
+  ASSERT_TRUE(cache.Lookup(a.key, a.set).has_value());
   cache.Clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_FALSE(cache.Lookup(a).has_value());
+  EXPECT_FALSE(cache.Lookup(a.key, a.set).has_value());
 }
 
 // --- Engine integration ---------------------------------------------------
@@ -153,18 +175,18 @@ TEST(EngineCacheTest, RepeatSubmissionsHitAndMatchBitIdentically) {
   options.cache_bytes = 32 << 20;
   HeatmapEngine engine(measure, options);
 
-  const HeatmapRequest request = MakeRequest(50, 60, Metric::kL2);
-  const HeatmapResponse cold = engine.Execute(request);
+  const Entry e = MakeEntry(50, 60, Metric::kL2);
+  const HeatmapRequestV2 request = Register(engine, e);
+  const HeatmapResponse cold = engine.Submit(request).get();
   EXPECT_FALSE(cold.from_cache);
-  const HeatmapResponse warm = engine.Execute(request);
+  const HeatmapResponse warm = engine.Submit(request).get();
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.grid.values(), cold.grid.values());
   EXPECT_EQ(warm.l2_stats.num_labelings, cold.l2_stats.num_labelings);
   EXPECT_EQ(engine.cache_stats().hits, 1u);
 
   // The cached response must also equal what a cache-less engine computes.
-  HeatmapEngine plain(measure, SingleWorker());
-  EXPECT_EQ(plain.Execute(request).grid.values(), warm.grid.values());
+  EXPECT_EQ(MakeResponse(e).grid.values(), warm.grid.values());
 }
 
 TEST(EngineCacheTest, RunBatchServesDuplicatesFromCache) {
@@ -174,10 +196,11 @@ TEST(EngineCacheTest, RunBatchServesDuplicatesFromCache) {
   options.cache_bytes = 32 << 20;
   HeatmapEngine engine(measure, options);
 
-  std::vector<HeatmapRequest> batch;
-  for (int i = 0; i < 12; ++i) batch.push_back(MakeRequest(60 + i % 3));
-  const std::vector<HeatmapResponse> responses =
-      engine.RunBatch(std::move(batch));
+  std::vector<HeatmapRequestV2> batch;
+  for (int i = 0; i < 12; ++i) {
+    batch.push_back(Register(engine, MakeEntry(60 + i % 3)));
+  }
+  const std::vector<HeatmapResponse> responses = engine.RunBatch(batch);
   ASSERT_EQ(responses.size(), 12u);
   // 3 distinct requests: at least 9 of 12 must have been served by the
   // cache (racing workers may compute a duplicate concurrently before the
@@ -193,7 +216,8 @@ TEST(EngineCacheTest, RunBatchServesDuplicatesFromCache) {
 TEST(EngineCacheTest, DisabledCacheReportsZeroStats) {
   SizeInfluence measure;
   HeatmapEngine engine(measure, SingleWorker());
-  const HeatmapResponse response = engine.Execute(MakeRequest(70));
+  const HeatmapResponse response =
+      engine.Submit(Register(engine, MakeEntry(70))).get();
   EXPECT_FALSE(response.from_cache);
   EXPECT_EQ(response.cache.hits + response.cache.misses, 0u);
   EXPECT_EQ(engine.cache_stats().entries, 0u);
@@ -214,7 +238,8 @@ TEST(EngineCacheTest, ConcurrentSubmittersShareTheCacheSafely) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         results[t].push_back(
-            engine.Submit(MakeRequest(100 + (t + i) % 5, 30)).get());
+            engine.Submit(Register(engine, MakeEntry(100 + (t + i) % 5, 30)))
+                .get());
       }
     });
   }

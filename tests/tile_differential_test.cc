@@ -205,9 +205,9 @@ TEST(TileDifferentialTest, FragmentStitchMatches) {
   }
 }
 
-// HeatmapEngine::ExecuteTiled serves the same bits as Execute for every
-// metric and tile grid, and a repeat request restitches entirely from the
-// per-tile fragment cache.
+// HeatmapEngine::ExecuteTiled serves the same bits as the untiled engine
+// path for every metric and tile grid, and a repeat request restitches
+// entirely from the per-tile fragment cache.
 TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
   SizeInfluence measure;
   HeatmapEngineOptions options;
@@ -220,7 +220,7 @@ TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
     const CircleSetHandle handle = engine.registry().Register(
         MakeCircles(909 + static_cast<int>(metric), 40, 0.02, 0.15), metric);
     const HeatmapRequestV2 request{handle, domain, 40, 40};
-    const HeatmapResponse reference = engine.Execute(request);
+    const HeatmapResponse reference = engine.Submit(request).get();
     for (const TileGrid& g : kTileGrids) {
       TiledServeStats first_stats;
       const HeatmapResponse tiled =
@@ -243,7 +243,7 @@ TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
 // The tile-granular cache keys: editing one corner circle only invalidates
 // the tiles its influence region overlaps — every other tile's fragment is
 // served from the cache, and the stitched result still matches a fresh
-// Execute of the edited set.
+// untiled response for the edited set.
 TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
   SizeInfluence measure;
   HeatmapEngineOptions options;
@@ -260,7 +260,8 @@ TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
   const HeatmapRequestV2 request{base, domain, 48, 48};
   TiledServeStats cold;
   const HeatmapResponse tiled_base = engine.ExecuteTiled(request, 4, 4, &cold);
-  EXPECT_EQ(engine.Execute(request).grid.values(), tiled_base.grid.values());
+  EXPECT_EQ(engine.Submit(request).get().grid.values(),
+            tiled_base.grid.values());
   ASSERT_GT(cold.swept_tiles, 8);  // the population reaches most tiles
 
   // Nudge the corner circle: only tile (0, 0) (and at most its immediate
@@ -272,7 +273,7 @@ TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
   TiledServeStats warm;
   const HeatmapResponse tiled_edited =
       engine.ExecuteTiled(edited_request, 4, 4, &warm);
-  EXPECT_EQ(engine.Execute(edited_request).grid.values(),
+  EXPECT_EQ(engine.Submit(edited_request).get().grid.values(),
             tiled_edited.grid.values());
   EXPECT_GE(warm.swept_tiles, 1);  // the overlapped corner tile resweeps
   EXPECT_LE(warm.swept_tiles, 4);  // ... and only its immediate neighborhood
@@ -281,7 +282,7 @@ TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
 }
 
 // The shard-facing fragment path: ExecuteTileFragmentChecked returns
-// window-sized fragments that stitch into the Execute raster, and rejects
+// window-sized fragments that stitch into the untiled raster, and rejects
 // bad tile ids and empty windows with a Status instead of a crash.
 TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
   SizeInfluence measure;
@@ -293,7 +294,7 @@ TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
   const CircleSetHandle handle = engine.registry().Register(
       MakeCircles(1111, 45, 0.02, 0.2), Metric::kL2);
   const HeatmapRequestV2 request{handle, domain, 44, 44};
-  const HeatmapResponse reference = engine.Execute(request);
+  const HeatmapResponse reference = engine.Submit(request).get();
   const std::vector<TileWindow> windows = TileWindows(domain, 44, 44, 2, 3);
   HeatmapGrid stitched(44, 44, domain, measure.Evaluate({}));
   for (int tile_id = 0; tile_id < 6; ++tile_id) {

@@ -12,6 +12,7 @@
 #include "heatmap/influence.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
+#include "serve/byte_stream.h"
 #include "serve/wire_server.h"
 #include "tile/tile_plan.h"
 
@@ -55,9 +56,9 @@ void ExpectSameRequest(const WireRequest& got, const WireRequest& want) {
 
 TEST(WireRequestTest, InlineRoundTripPreservesEveryField) {
   const WireRequest request = InlineRequest(1, 40, Metric::kL2);
-  std::string error;
-  const auto decoded = DecodeRequest(EncodeRequest(request), &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded = DecodeRequest(EncodeRequest(request), &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   ExpectSameRequest(*decoded, request);
 }
 
@@ -68,9 +69,9 @@ TEST(WireRequestTest, ByReferenceRoundTripCarriesOnlyTheHash) {
       MakeWireRequest(*set, kDomain, 48, 24, /*include_circles=*/false);
   const std::vector<uint8_t> bytes = EncodeRequest(request);
   EXPECT_EQ(bytes.size(), 68u);  // header only, no circle payload
-  std::string error;
-  const auto decoded = DecodeRequest(bytes, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded = DecodeRequest(bytes, &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   EXPECT_FALSE(decoded->inline_circles);
   EXPECT_TRUE(decoded->circles.empty());
   EXPECT_EQ(decoded->set_hash, set->content_hash());
@@ -80,9 +81,9 @@ TEST(WireRequestTest, ZeroCircleInlineSetRoundTrips) {
   const auto set = CircleSetSnapshot::Make({}, Metric::kL1);
   const WireRequest request =
       MakeWireRequest(*set, kDomain, 8, 8, /*include_circles=*/true);
-  std::string error;
-  const auto decoded = DecodeRequest(EncodeRequest(request), &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded = DecodeRequest(EncodeRequest(request), &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   EXPECT_TRUE(decoded->inline_circles);
   EXPECT_TRUE(decoded->circles.empty());
 }
@@ -91,46 +92,47 @@ TEST(WireRequestTest, EveryTruncationDecodesToAnErrorNotACrash) {
   const std::vector<uint8_t> bytes =
       EncodeRequest(InlineRequest(3, 10, Metric::kL2));
   for (size_t len = 0; len < bytes.size(); ++len) {
-    std::string error;
+    Status status;
     EXPECT_FALSE(
-        DecodeRequest(std::span(bytes.data(), len), &error).has_value())
+        DecodeRequest(std::span(bytes.data(), len), &status).has_value())
         << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
+    EXPECT_FALSE(status.message.empty());
   }
 }
 
 TEST(WireRequestTest, CorruptedHeaderFieldsAreRejected) {
   const std::vector<uint8_t> good =
       EncodeRequest(InlineRequest(4, 12, Metric::kLInf));
-  std::string error;
-  ASSERT_TRUE(DecodeRequest(good, &error).has_value());
+  Status status;
+  ASSERT_TRUE(DecodeRequest(good, &status).has_value());
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(DecodeRequest(bad_magic, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_magic, &status).has_value());
 
   auto bad_version = good;
   bad_version[4] ^= 0xFF;
-  EXPECT_FALSE(DecodeRequest(bad_version, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_version, &status).has_value());
 
   auto bad_metric = good;
   bad_metric[8] = 7;
-  EXPECT_FALSE(DecodeRequest(bad_metric, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_metric, &status).has_value());
 
   auto bad_flags = good;
   bad_flags[9] |= 0x80;  // undefined flag bit
-  EXPECT_FALSE(DecodeRequest(bad_flags, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_flags, &status).has_value());
 
   auto bad_reserved = good;
   bad_reserved[10] = 1;
-  EXPECT_FALSE(DecodeRequest(bad_reserved, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_reserved, &status).has_value());
 
   auto bad_width = good;
   bad_width[12] = 0;
   bad_width[13] = 0;
   bad_width[14] = 0;
   bad_width[15] = 0;
-  EXPECT_FALSE(DecodeRequest(bad_width, &error).has_value());
+  EXPECT_FALSE(DecodeRequest(bad_width, &status).has_value());
 }
 
 TEST(WireRequestTest, CorruptedCirclePayloadFailsTheContentHash) {
@@ -140,16 +142,16 @@ TEST(WireRequestTest, CorruptedCirclePayloadFailsTheContentHash) {
   // content hash no longer matches, so the decoder must reject it.
   auto corrupted = good;
   corrupted[68 + 40] ^= 0x01;
-  std::string error;
-  EXPECT_FALSE(DecodeRequest(corrupted, &error).has_value());
-  EXPECT_NE(error.find("content hash"), std::string::npos);
+  Status status;
+  EXPECT_FALSE(DecodeRequest(corrupted, &status).has_value());
+  EXPECT_NE(status.message.find("content hash"), std::string::npos);
 }
 
 TEST(WireRequestTest, TrailingBytesAreRejected) {
   auto bytes = EncodeRequest(InlineRequest(6, 8, Metric::kLInf));
   bytes.push_back(0);
-  std::string error;
-  EXPECT_FALSE(DecodeRequest(bytes, &error).has_value());
+  Status status;
+  EXPECT_FALSE(DecodeRequest(bytes, &status).has_value());
 }
 
 // --- Responses ------------------------------------------------------------
@@ -161,8 +163,9 @@ HeatmapResponse ComputeResponse(uint64_t seed, int n, Metric metric,
   options.num_threads = 1;
   options.cache_bytes = 8 << 20;  // exercise nonzero cache counters
   HeatmapEngine engine(measure, options);
-  return engine.Execute(
-      HeatmapRequest{MakeCircles(seed, n), kDomain, size, size, metric});
+  const CircleSetHandle handle =
+      engine.registry().Register(MakeCircles(seed, n), metric);
+  return engine.Submit(HeatmapRequestV2{handle, kDomain, size, size}).get();
 }
 
 TEST(WireResponseTest, OkRoundTripPreservesGridStatsAndCacheCounters) {
@@ -188,8 +191,10 @@ TEST(WireResponseTest, DegenerateOnePixelGridRoundTrips) {
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
-  const HeatmapResponse response = engine.Execute(
-      HeatmapRequest{{}, Rect{{0, 0}, {1, 1}}, 1, 1, Metric::kLInf});
+  const CircleSetHandle empty =
+      engine.registry().Register(std::vector<NnCircle>{}, Metric::kLInf);
+  const HeatmapResponse response =
+      engine.Submit(HeatmapRequestV2{empty, Rect{{0, 0}, {1, 1}}, 1, 1}).get();
   std::string error;
   const auto decoded = DecodeResponse(EncodeResponse(response), &error);
   ASSERT_TRUE(decoded.has_value()) << error;
@@ -273,7 +278,19 @@ TEST(WireFrameTest, OversizedLengthPrefixIsRejected) {
 
 // --- The serve loop -------------------------------------------------------
 
-TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
+// Serves every request frame in `in` through a fresh WireServer over
+// `engine`, one response frame each to `out`; returns the server's stats.
+WireStatsReply ServeFile(std::FILE* in, std::FILE* out,
+                         HeatmapEngine& engine) {
+  WireServer server(engine);
+  FileByteSource source(in);
+  FileByteSink sink(out);
+  const Status status = server.ServeStream(source, sink);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return server.stats();
+}
+
+TEST(ServeStreamTest, ServesInlineAndByReferenceBitIdentically) {
   const auto set = CircleSetSnapshot::Make(MakeCircles(9, 35), Metric::kL2);
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
@@ -294,9 +311,8 @@ TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
   options.num_threads = 1;
   options.cache_bytes = 8 << 20;
   HeatmapEngine engine(measure, options);
-  WireServeStats stats;
+  const WireStatsReply stats = ServeFile(in, out, engine);
   std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 3u);
   EXPECT_EQ(stats.errors, 0u);
@@ -315,8 +331,9 @@ TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
     const auto decoded = DecodeResponse(*frame, &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
-    const HeatmapResponse direct = reference.Execute(
-        HeatmapRequestV2{handle, kDomain, sizes[i], sizes[i]});
+    const HeatmapResponse direct =
+        reference.Submit(HeatmapRequestV2{handle, kDomain, sizes[i], sizes[i]})
+            .get();
     EXPECT_EQ(decoded->response->grid.values(), direct.grid.values())
         << "request " << i;
   }
@@ -327,7 +344,7 @@ TEST(ServeWireStreamTest, ServesInlineAndByReferenceBitIdentically) {
   std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
+TEST(ServeStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
   ASSERT_NE(in, nullptr);
@@ -348,9 +365,8 @@ TEST(ServeWireStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
-  WireServeStats stats;
+  const WireStatsReply stats = ServeFile(in, out, engine);
   std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 1u);
   EXPECT_EQ(stats.errors, 2u);
@@ -370,7 +386,7 @@ TEST(ServeWireStreamTest, MalformedAndUnknownRequestsGetErrorResponses) {
   std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, OversizedRasterIsRefusedPolitely) {
+TEST(ServeStreamTest, OversizedRasterIsRefusedPolitely) {
   const auto set = CircleSetSnapshot::Make(MakeCircles(11, 5), Metric::kL2);
   WireRequest request = MakeWireRequest(*set, kDomain, 1, 1, true);
   request.width = 1 << 15;
@@ -385,8 +401,8 @@ TEST(ServeWireStreamTest, OversizedRasterIsRefusedPolitely) {
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
+  ServeFile(in, out, engine);
   std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, nullptr, &error)) << error;
   std::rewind(out);
   const auto frame = ReadFrame(out, &error);
   ASSERT_TRUE(frame.has_value()) << error;
@@ -499,7 +515,7 @@ TEST(WireStatusMappingTest, ExitCodesAreDistinctPerStatusCode) {
   }
 }
 
-TEST(WireDecodeStatusTest, StatusOverloadsMirrorTheStringForms) {
+TEST(WireDecodeStatusTest, RequestDecodeFailuresAreInvalidArgument) {
   const WireRequest request = InlineRequest(22, 6, Metric::kL1);
   Status status;
   EXPECT_TRUE(DecodeRequest(EncodeRequest(request), &status).has_value());
@@ -509,24 +525,6 @@ TEST(WireDecodeStatusTest, StatusOverloadsMirrorTheStringForms) {
   EXPECT_FALSE(DecodeRequest(bytes, &status).has_value());
   EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
   EXPECT_FALSE(status.message.empty());
-}
-
-TEST(PeekRequestSetHashTest, ReadsTheHashWithoutDecoding) {
-  const auto set = CircleSetSnapshot::Make(MakeCircles(23, 12), Metric::kL2);
-  for (const bool inline_circles : {true, false}) {
-    const std::vector<uint8_t> bytes = EncodeRequest(
-        MakeWireRequest(*set, kDomain, 16, 16, inline_circles));
-    const auto hash = PeekRequestSetHash(bytes);
-    ASSERT_TRUE(hash.has_value());
-    EXPECT_EQ(*hash, set->content_hash());
-  }
-}
-
-TEST(PeekRequestSetHashTest, RejectsNonRequestPayloads) {
-  EXPECT_FALSE(PeekRequestSetHash(EncodeStatsRequest()).has_value());
-  EXPECT_FALSE(PeekRequestSetHash({}).has_value());
-  const std::vector<uint8_t> garbage(80, 0xAB);
-  EXPECT_FALSE(PeekRequestSetHash(garbage).has_value());
 }
 
 // --- v4 additions: delta op, routing peek, scoped registration ------------
@@ -582,9 +580,10 @@ TEST(WireDeltaTest, RoundTripPreservesEveryEditKind) {
   request.edits.push_back(
       CircleSetEdit{CircleSetEdit::Kind::kSwapRemove, 1, NnCircle{}});
 
-  std::string error;
-  const auto decoded = DecodeDeltaRequest(EncodeDeltaRequest(request), &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded =
+      DecodeDeltaRequest(EncodeDeltaRequest(request), &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   EXPECT_EQ(decoded->metric, request.metric);
   EXPECT_EQ(decoded->base_hash, request.base_hash);
   EXPECT_EQ(decoded->new_hash, request.new_hash);
@@ -629,11 +628,11 @@ TEST(WireDeltaTest, EveryTruncationDecodesToAnErrorNotACrash) {
   const std::vector<uint8_t> bytes =
       EncodeDeltaRequest(MakeDelta(base, edits, Metric::kL2, 16));
   for (size_t len = 0; len < bytes.size(); ++len) {
-    std::string error;
+    Status status;
     EXPECT_FALSE(
-        DecodeDeltaRequest(std::span(bytes.data(), len), &error).has_value())
+        DecodeDeltaRequest(std::span(bytes.data(), len), &status).has_value())
         << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(status.ok());
   }
 }
 
@@ -644,44 +643,45 @@ TEST(WireDeltaTest, CorruptedHeaderFieldsAreRejected) {
                     NnCircle{{0.1, 0.9}, 0.04, 4}}};
   const std::vector<uint8_t> good =
       EncodeDeltaRequest(MakeDelta(base, edits, Metric::kLInf, 12));
-  std::string error;
-  ASSERT_TRUE(DecodeDeltaRequest(good, &error).has_value()) << error;
+  Status status;
+  ASSERT_TRUE(DecodeDeltaRequest(good, &status).has_value())
+      << status.ToString();
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_magic, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_magic, &status).has_value());
 
   auto bad_version = good;
   bad_version[4] ^= 0xFF;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_version, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_version, &status).has_value());
 
   auto bad_metric = good;
   bad_metric[8] = 7;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_metric, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_metric, &status).has_value());
 
   auto bad_flags = good;
   bad_flags[9] |= 0x80;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_flags, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_flags, &status).has_value());
 
   auto bad_reserved = good;
   bad_reserved[10] = 1;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_reserved, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_reserved, &status).has_value());
 
   auto bad_width = good;
   bad_width[12] = 0;
   bad_width[13] = 0;
   bad_width[14] = 0;
   bad_width[15] = 0;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_width, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_width, &status).has_value());
 
   // First edit's op byte sits right after the fixed header.
   auto bad_edit_kind = good;
   bad_edit_kind[76] = 7;
-  EXPECT_FALSE(DecodeDeltaRequest(bad_edit_kind, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(bad_edit_kind, &status).has_value());
 
   auto trailing = good;
   trailing.push_back(0);
-  EXPECT_FALSE(DecodeDeltaRequest(trailing, &error).has_value());
+  EXPECT_FALSE(DecodeDeltaRequest(trailing, &status).has_value());
 }
 
 TEST(PeekRouteInfoTest, PlainRequestRoutesBySetHash) {
@@ -731,9 +731,9 @@ TEST(WireTileRequestTest, InlineRoundTripPreservesEveryField) {
   const std::vector<uint8_t> bytes = EncodeTileRequest(request);
   EXPECT_TRUE(IsTileRequest(bytes));
   EXPECT_FALSE(IsTileRequest(EncodeRequest(InlineRequest(81, 5, Metric::kL2))));
-  std::string error;
-  const auto decoded = DecodeTileRequest(bytes, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded = DecodeTileRequest(bytes, &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   EXPECT_EQ(decoded->metric, request.metric);
   EXPECT_EQ(decoded->set_hash, request.set_hash);
   EXPECT_TRUE(decoded->inline_circles);
@@ -751,9 +751,9 @@ TEST(WireTileRequestTest, ByReferenceCarriesHeaderOnly) {
   const std::vector<uint8_t> bytes =
       EncodeTileRequest(TileRequest(*set, /*inline_circles=*/false, 2, 2, 3));
   EXPECT_EQ(bytes.size(), 80u);  // plain 68-byte header + three i32s
-  std::string error;
-  const auto decoded = DecodeTileRequest(bytes, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
+  Status status;
+  const auto decoded = DecodeTileRequest(bytes, &status);
+  ASSERT_TRUE(decoded.has_value()) << status.ToString();
   EXPECT_FALSE(decoded->inline_circles);
   EXPECT_TRUE(decoded->circles.empty());
   EXPECT_EQ(decoded->set_hash, set->content_hash());
@@ -763,23 +763,23 @@ TEST(WireTileRequestTest, TileGridValidationIsStrict) {
   const auto set = CircleSetSnapshot::Make(MakeCircles(83, 6), Metric::kLInf);
   const WireTileRequest good = TileRequest(*set, /*inline_circles=*/true, 2,
                                            3, 5);
-  std::string error;
-  ASSERT_TRUE(DecodeTileRequest(EncodeTileRequest(good), &error).has_value());
+  Status status;
+  ASSERT_TRUE(DecodeTileRequest(EncodeTileRequest(good), &status).has_value());
 
   // Degenerate and oversized grids, and ids outside the grid, are all
   // refused even when the rest of the frame is pristine.
   WireTileRequest bad = good;
   bad.tile_rows = 0;
-  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &error).has_value());
+  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &status).has_value());
   bad = good;
-  bad.tile_cols = kMaxWireTileGridSide + 1;
-  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &error).has_value());
+  bad.tile_cols = kMaxTileGridSide + 1;
+  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &status).has_value());
   bad = good;
   bad.tile_id = 6;  // == rows * cols, one past the last tile
-  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &error).has_value());
+  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &status).has_value());
   bad = good;
   bad.tile_id = -1;
-  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &error).has_value());
+  EXPECT_FALSE(DecodeTileRequest(EncodeTileRequest(bad), &status).has_value());
 }
 
 TEST(WireTileRequestTest, EveryTruncationDecodesToAnErrorNotACrash) {
@@ -787,16 +787,16 @@ TEST(WireTileRequestTest, EveryTruncationDecodesToAnErrorNotACrash) {
   const std::vector<uint8_t> bytes =
       EncodeTileRequest(TileRequest(*set, /*inline_circles=*/true, 2, 2, 1));
   for (size_t len = 0; len < bytes.size(); ++len) {
-    std::string error;
+    Status status;
     EXPECT_FALSE(
-        DecodeTileRequest(std::span(bytes.data(), len), &error).has_value())
+        DecodeTileRequest(std::span(bytes.data(), len), &status).has_value())
         << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(status.ok());
   }
   auto trailing = bytes;
   trailing.push_back(0);
-  std::string error;
-  EXPECT_FALSE(DecodeTileRequest(trailing, &error).has_value());
+  Status status;
+  EXPECT_FALSE(DecodeTileRequest(trailing, &status).has_value());
 }
 
 TEST(PeekRouteInfoTest, TileRequestRoutesBySetHashAndExposesTheTile) {
@@ -812,7 +812,7 @@ TEST(PeekRouteInfoTest, TileRequestRoutesBySetHashAndExposesTheTile) {
   }
 }
 
-TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
+TEST(ServeStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   // All six tiles of a 2x3 decomposition served as wire frames, stitched
   // client-side — the reassembled raster must equal a direct Execute, and
   // the serve counters must attribute every frame to the tile op.
@@ -836,9 +836,8 @@ TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
-  WireServeStats stats;
+  const WireStatsReply stats = ServeFile(in, out, engine);
   std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
   EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.tile_requests, 6u);
   EXPECT_EQ(stats.tile_fragments, 6u);
@@ -864,13 +863,13 @@ TEST(ServeWireStreamTest, TileFragmentsStitchBitIdenticallyThroughTheServer) {
   const CircleSetHandle handle =
       reference.registry().Register(set->circles(), set->metric());
   const HeatmapResponse direct =
-      reference.Execute(HeatmapRequestV2{handle, kDomain, size, size});
+      reference.Submit(HeatmapRequestV2{handle, kDomain, size, size}).get();
   EXPECT_EQ(stitched.values(), direct.grid.values());
   std::fclose(in);
   std::fclose(out);
 }
 
-TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
+TEST(ServeStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
   const Metric metric = Metric::kLInf;
   const int size = 20;
   const std::vector<NnCircle> base = MakeCircles(45, 24);
@@ -911,9 +910,8 @@ TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
   options.num_threads = 1;
   options.cache_bytes = 8 << 20;  // the base raster must be spliceable
   HeatmapEngine engine(measure, options);
-  WireServeStats stats;
+  const WireStatsReply stats = ServeFile(in, out, engine);
   std::string error;
-  ASSERT_TRUE(ServeWireStream(in, out, engine, &stats, &error)) << error;
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.ok, 4u);
   EXPECT_EQ(stats.errors, 0u);
@@ -935,9 +933,11 @@ TEST(ServeWireStreamTest, ChainedDeltasSpliceAndMatchFromScratch) {
     const auto decoded = DecodeResponse(*frame, &error);
     ASSERT_TRUE(decoded.has_value()) << error;
     ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
-    // The from-scratch reference: a cold Execute over the tick's circles.
-    const HeatmapResponse direct = reference.Execute(
-        HeatmapRequest{*ticks[i], kDomain, size, size, metric});
+    // The from-scratch reference: a cold sweep over the tick's circles.
+    const CircleSetHandle tick =
+        reference.registry().Register(*ticks[i], metric);
+    const HeatmapResponse direct =
+        reference.Submit(HeatmapRequestV2{tick, kDomain, size, size}).get();
     EXPECT_EQ(decoded->response->grid.values(), direct.grid.values())
         << "tick " << i;
   }
@@ -974,39 +974,89 @@ TEST(WireServerTest, DeltaFromUnknownBaseIsRefused) {
   EXPECT_EQ(server.stats().deltas, 0u);
 }
 
-TEST(WireServerTest, CollidedHashIsRefusedOnTheWire) {
+// Plain, tile and delta frames name their circle set through the same
+// header fields and resolve it through one helper: every frame kind must
+// refuse an unknown hash, a collided hash, a metric mismatch and an
+// over-ceiling raster with the same wire status, and count each as an
+// error.
+TEST(WireServerTest, UnresolvableSetsAreRefusedForEveryFrameKind) {
   SizeInfluence measure;
   HeatmapEngineOptions options;
   options.num_threads = 1;
   HeatmapEngine engine(measure, options);
   WireServer server(engine);
-  // File unrelated content under set_b's hash: the bucket matches, the
+  // File unrelated content under collided's hash: the bucket matches, the
   // content does not — exactly what a 64-bit collision looks like.
-  const auto set_b = CircleSetSnapshot::Make(MakeCircles(48, 6), Metric::kL2);
+  const auto collided =
+      CircleSetSnapshot::Make(MakeCircles(48, 6), Metric::kL2);
   engine.registry().RegisterWithHashForTesting(MakeCircles(47, 6), Metric::kL2,
-                                               set_b->content_hash());
-  std::string error;
+                                               collided->content_hash());
+  const auto known = CircleSetSnapshot::Make(MakeCircles(52, 6), Metric::kL2);
+  engine.registry().Register(known->circles(), known->metric());
+  const auto unknown =
+      CircleSetSnapshot::Make(MakeCircles(53, 6), Metric::kL2);
 
-  const auto by_ref_reply = server.HandleFrame(EncodeRequest(
-      MakeWireRequest(*set_b, kDomain, 8, 8, /*include_circles=*/false)));
-  const auto by_ref = DecodeResponse(by_ref_reply, &error);
-  ASSERT_TRUE(by_ref.has_value()) << error;
-  EXPECT_EQ(by_ref->status, WireStatus::kUnknownCircleSet);
-  EXPECT_NE(by_ref->error.find("collision"), std::string::npos);
-
-  WireDeltaRequest delta;
-  delta.metric = Metric::kL2;
-  delta.base_hash = set_b->content_hash();
-  delta.new_hash = 1;
-  delta.edits.push_back(CircleSetEdit{CircleSetEdit::Kind::kAppend, 0,
-                                      NnCircle{{0.4, 0.6}, 0.03, 6}});
-  delta.domain = kDomain;
-  delta.width = 8;
-  delta.height = 8;
-  const auto delta_reply = server.HandleFrame(EncodeDeltaRequest(delta));
-  const auto decoded = DecodeResponse(delta_reply, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status, WireStatus::kUnknownCircleSet);
+  WireRequest metric_mismatch = MakeWireRequest(*known, kDomain, 8, 8, false);
+  metric_mismatch.metric = Metric::kLInf;
+  WireRequest oversized = MakeWireRequest(*known, kDomain, 8, 8, false);
+  oversized.width = 1 << 15;
+  oversized.height = 1 << 15;  // 2^30 pixels > kMaxWirePixels
+  struct Case {
+    const char* name;
+    WireRequest request;
+    WireStatus want;
+  };
+  const Case cases[] = {
+      {"unknown hash", MakeWireRequest(*unknown, kDomain, 8, 8, false),
+       WireStatus::kUnknownCircleSet},
+      {"collided hash", MakeWireRequest(*collided, kDomain, 8, 8, false),
+       WireStatus::kUnknownCircleSet},
+      {"metric mismatch", metric_mismatch, WireStatus::kMalformedRequest},
+      {"pixel ceiling", oversized, WireStatus::kMalformedRequest},
+  };
+  struct FrameKind {
+    const char* name;
+    std::vector<uint8_t> (*encode)(const WireRequest&);
+  };
+  const FrameKind kinds[] = {
+      {"plain", [](const WireRequest& r) { return EncodeRequest(r); }},
+      {"tile",
+       [](const WireRequest& r) {
+         return EncodeTileRequest(WireTileRequest{r, 1, 1, 0});
+       }},
+      {"delta",
+       [](const WireRequest& r) {
+         WireDeltaRequest delta;
+         delta.metric = r.metric;
+         delta.base_hash = r.set_hash;
+         delta.new_hash = 1;
+         delta.edits.push_back(CircleSetEdit{CircleSetEdit::Kind::kAppend, 0,
+                                             NnCircle{{0.4, 0.6}, 0.03, 6}});
+         delta.domain = r.domain;
+         delta.width = r.width;
+         delta.height = r.height;
+         return EncodeDeltaRequest(delta);
+       }},
+  };
+  uint64_t errors = 0;
+  for (const FrameKind& kind : kinds) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(kind.name) + " / " + c.name);
+      std::string error;
+      const auto reply = DecodeResponse(
+          server.HandleFrame(kind.encode(c.request)), &error);
+      ASSERT_TRUE(reply.has_value()) << error;
+      EXPECT_EQ(reply->status, c.want) << reply->error;
+      EXPECT_EQ(server.stats().errors, ++errors);
+      if (c.request.set_hash == collided->content_hash() &&
+          std::string(kind.name) != "delta") {
+        EXPECT_NE(reply->error.find("collision"), std::string::npos);
+      }
+    }
+  }
+  EXPECT_EQ(server.stats().ok, 0u);
+  EXPECT_EQ(server.stats().tile_fragments, 0u);
+  EXPECT_EQ(server.stats().deltas, 0u);
 }
 
 TEST(WireServerTest, ScopedRegistrationsReleaseWhenTheScopeDies) {

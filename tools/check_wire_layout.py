@@ -13,7 +13,7 @@ layouts independently, straight from the text, and fails CI when:
     PutU16=2, PutI32=4, PutF64=8, PutU64=8) disagrees with its table,
     field for field;
   * a frame's magic literal in wire.cc differs from the table marker;
-  * the routing-peek offsets (PeekRequestSetHash / PeekRouteInfo) do not
+  * the routing-peek offsets (PeekRouteInfo) do not
     line up with the set_hash / new_hash / tile_id table fields;
   * the version-history table is not append-only monotonic, misses a
     version, or its last row disagrees with the live kWireVersion sizes.
@@ -272,27 +272,15 @@ def check_peeks(layouts: dict[str, Layout], layout_text: str,
     if tile["set_hash"].offset != request["set_hash"].offset:
         fail("tile.set_hash must sit in the request.set_hash slot")
 
-    # And the peek functions must actually read those named constants
-    # (PeekRequestSetHash may instead delegate to PeekRouteInfo).
-    for func, needed in [
-        ("PeekRequestSetHash", [("kRequestSetHashOffset", "PeekRouteInfo")]),
-        (
-            "PeekRouteInfo",
-            [
-                ("kRequestSetHashOffset",),
-                ("kDeltaNewHashOffset",),
-                ("kTileIdOffset",),
-            ],
-        ),
-    ]:
-        body = extract_function(cc_text, func)
-        for alternatives in needed:
-            if not any(name in body for name in alternatives):
-                fail(
-                    f"wire.cc: {func} no longer reads "
-                    f"{' or '.join(alternatives)} — the peek and the "
-                    "layout table can drift apart"
-                )
+    # And the peek must actually read those named constants.
+    body = extract_function(cc_text, "PeekRouteInfo")
+    for name in ("kRequestSetHashOffset", "kDeltaNewHashOffset",
+                 "kTileIdOffset"):
+        if name not in body:
+            fail(
+                f"wire.cc: PeekRouteInfo no longer reads {name} — the peek "
+                "and the layout table can drift apart"
+            )
 
 
 def check_history(layouts: dict[str, Layout], history: list[dict[str, int]],

@@ -62,7 +62,7 @@
 //       --by-tile the router instead fans each plain heat-map request
 //       as one tile sub-request per non-empty tile window (shard =
 //       tile_id % N) and stitches the fragments into one response
-//       bit-identical to an untiled Execute. See serve/shard_router.h.
+//       bit-identical to an untiled ExecuteChecked. See serve/shard_router.h.
 //   wire-send [--requests req.bin] --connect tcp:HOST:PORT|unix:PATH
 //             [--out resp.bin] [--stats]
 //       Socket client: send each framed request from --requests to a
@@ -206,19 +206,24 @@ bool Parse(int argc, char** argv, Args* out) {
 }
 
 // Parses a "RxC" tile-grid flag value ("3x3", "1x4"). False (with *error
-// set) on anything that is not two positive integers around an 'x'.
+// set) on anything that is not two integers in [1, kMaxTileGridSide]
+// around an 'x' — checked before the narrowing cast, so an over-wide
+// value cannot wrap into range.
 bool ParseTileGrid(const char* value, int* rows, int* cols,
                    std::string* error) {
+  const std::string message =
+      "--tiles needs RxC with each side in [1, " +
+      std::to_string(kMaxTileGridSide) + "] (e.g. 3x3), got '" + value + "'";
   char* end = nullptr;
   const long r = std::strtol(value, &end, 10);
-  if (end == value || *end != 'x' || r <= 0) {
-    *error = std::string("--tiles needs RxC (e.g. 3x3), got '") + value + "'";
+  if (end == value || *end != 'x' || r <= 0 || r > kMaxTileGridSide) {
+    *error = message;
     return false;
   }
   const char* cols_start = end + 1;
   const long c = std::strtol(cols_start, &end, 10);
-  if (end == cols_start || *end != '\0' || c <= 0) {
-    *error = std::string("--tiles needs RxC (e.g. 3x3), got '") + value + "'";
+  if (end == cols_start || *end != '\0' || c <= 0 || c > kMaxTileGridSide) {
+    *error = message;
     return false;
   }
   *rows = static_cast<int>(r);
@@ -330,12 +335,12 @@ int CmdHeatmap(const Args& args) {
       options.slabs_per_request = threads;
       options.cache_bytes = cache_bytes;
       HeatmapEngine engine(measure, options);
+      const CircleSetHandle handle = engine.registry().Register(
+          BuildNnCircles(clients, facilities, metric), metric);
+      const HeatmapRequestV2 request{handle, domain, size, size};
+      HeatmapResponse last{HeatmapGrid(1, 1, Rect{{0, 0}, {1, 1}}),
+                           {}, {}, false, {}};
       if (tile_rows > 0) {
-        const CircleSetHandle handle = engine.registry().Register(
-            BuildNnCircles(clients, facilities, metric), metric);
-        const HeatmapRequestV2 request{handle, domain, size, size};
-        HeatmapResponse last{HeatmapGrid(1, 1, Rect{{0, 0}, {1, 1}}),
-                             {}, {}, false, {}};
         for (int i = 0; i < repeat; ++i) {
           TiledServeStats tile_stats;
           Stopwatch sw;
@@ -354,13 +359,9 @@ int CmdHeatmap(const Args& args) {
                     last.cache.entries, last.cache.bytes);
         return std::move(last.grid);
       }
-      HeatmapRequest request{BuildNnCircles(clients, facilities, metric),
-                             domain, size, size, metric};
-      HeatmapResponse last{HeatmapGrid(1, 1, Rect{{0, 0}, {1, 1}}),
-                           {}, {}, false, {}};
       for (int i = 0; i < repeat; ++i) {
         Stopwatch sw;
-        last = engine.Execute(request);
+        last = engine.Submit(request).get();
         std::printf("iteration %d: %.2f ms (%s)\n", i + 1, sw.ElapsedMs(),
                     last.from_cache ? "cache hit" : "swept");
       }
@@ -708,22 +709,25 @@ bool ParseServeFlags(const Args& args, ServeOptions* options,
   return true;
 }
 
-void PrintServeStats(const WireServeStats& stats) {
-  std::fprintf(stderr,
-               "served %llu requests (%llu ok, %llu errors, %llu circle "
-               "sets registered, %llu deltas, %llu spliced, %llu dirty "
-               "columns)\n",
-               static_cast<unsigned long long>(stats.requests),
+// One line of serve counters, for a server's own summary and for the
+// stats op's reply alike (CI greps the "stats: N shard(s)" prefix).
+void PrintStats(std::FILE* out, const WireStatsReply& stats) {
+  std::fprintf(out,
+               "stats: %u shard(s), %llu requests, %llu ok, %llu errors, "
+               "%llu sets registered, %llu deltas (%llu spliced, %llu dirty "
+               "columns), %llu sets evicted\n",
+               stats.shards, static_cast<unsigned long long>(stats.requests),
                static_cast<unsigned long long>(stats.ok),
                static_cast<unsigned long long>(stats.errors),
                static_cast<unsigned long long>(stats.sets_registered),
                static_cast<unsigned long long>(stats.deltas),
                static_cast<unsigned long long>(stats.delta_splices),
-               static_cast<unsigned long long>(stats.delta_dirty_columns));
+               static_cast<unsigned long long>(stats.delta_dirty_columns),
+               static_cast<unsigned long long>(stats.sets_evicted));
 }
 
 // The stdio/file leg of serve: the blocking WireServer loop over
-// ByteSource/ByteSink (what ServeWireStream wraps for legacy callers).
+// ByteSource/ByteSink.
 int ServeStdio(const ServeOptions& options, HeatmapEngine& engine) {
   std::FILE* in = stdin;
   std::FILE* out = stdout;
@@ -744,7 +748,7 @@ int ServeStdio(const ServeOptions& options, HeatmapEngine& engine) {
   const Status status = server.ServeStream(source, sink);
   if (in != stdin) std::fclose(in);
   if (out != stdout) std::fclose(out);
-  PrintServeStats(server.stats());
+  PrintStats(stderr, server.stats());
   if (!status.ok()) {
     std::fprintf(stderr, "serve aborted: %s\n", status.ToString().c_str());
   }
@@ -792,7 +796,7 @@ int CmdServe(const Args& args) {
   InstallShutdownSignalHandlers(&server);
   status = server.Run();
   InstallShutdownSignalHandlers(nullptr);
-  PrintServeStats(server.stats());
+  PrintStats(stderr, server.stats());
   if (!status.ok()) {
     std::fprintf(stderr, "serve aborted: %s\n", status.ToString().c_str());
   }
@@ -934,18 +938,7 @@ int CmdWireSend(const Args& args) {
         std::fprintf(stderr, "stats reply: %s\n", decode_error.c_str());
         exit_code = 2;
       } else {
-        std::printf("stats: %u shard(s), %llu requests, %llu ok, %llu "
-                    "errors, %llu sets registered, %llu deltas (%llu "
-                    "spliced, %llu dirty columns), %llu sets evicted\n",
-                    stats->shards,
-                    static_cast<unsigned long long>(stats->requests),
-                    static_cast<unsigned long long>(stats->ok),
-                    static_cast<unsigned long long>(stats->errors),
-                    static_cast<unsigned long long>(stats->sets_registered),
-                    static_cast<unsigned long long>(stats->deltas),
-                    static_cast<unsigned long long>(stats->delta_splices),
-                    static_cast<unsigned long long>(stats->delta_dirty_columns),
-                    static_cast<unsigned long long>(stats->sets_evicted));
+        PrintStats(stdout, *stats);
       }
     }
   }
@@ -1112,15 +1105,17 @@ int CmdWireVerify(const Args& args) {
       break;
     }
     // Resolve the request — plain or delta — to the handle + geometry the
-    // reference Execute needs.
+    // reference ExecuteChecked needs.
     CircleSetHandle handle;
     Rect ref_domain;
     int ref_width = 0;
     int ref_height = 0;
+    Status status;
     if (IsDeltaRequest(*req_frame)) {
-      const auto delta = DecodeDeltaRequest(*req_frame, &error);
+      const auto delta = DecodeDeltaRequest(*req_frame, &status);
       if (!delta.has_value()) {
-        std::fprintf(stderr, "request %d: %s\n", verified, error.c_str());
+        std::fprintf(stderr, "request %d: %s\n", verified,
+                     status.message.c_str());
         ++failures;
         break;
       }
@@ -1134,8 +1129,8 @@ int CmdWireVerify(const Args& args) {
         ++failures;
         break;
       }
-      const Status status = engine.registry().ApplyDelta(
-          base, delta->edits, delta->new_hash, &handle);
+      status = engine.registry().ApplyDelta(base, delta->edits,
+                                            delta->new_hash, &handle);
       if (!status.ok()) {
         std::fprintf(stderr, "request %d: %s\n", verified,
                      status.ToString().c_str());
@@ -1147,9 +1142,10 @@ int CmdWireVerify(const Args& args) {
       ref_width = delta->width;
       ref_height = delta->height;
     } else {
-      const auto request = DecodeRequest(*req_frame, &error);
+      const auto request = DecodeRequest(*req_frame, &status);
       if (!request.has_value()) {
-        std::fprintf(stderr, "request %d: %s\n", verified, error.c_str());
+        std::fprintf(stderr, "request %d: %s\n", verified,
+                     status.message.c_str());
         ++failures;
         break;
       }
@@ -1172,11 +1168,19 @@ int CmdWireVerify(const Args& args) {
       ref_width = request->width;
       ref_height = request->height;
     }
-    const HeatmapResponse reference = engine.Execute(
-        HeatmapRequestV2{handle, ref_domain, ref_width, ref_height});
-    if (reference.grid.values() != response->response->grid.values()) {
+    std::optional<HeatmapResponse> reference;
+    status = engine.ExecuteChecked(
+        HeatmapRequestV2{handle, ref_domain, ref_width, ref_height},
+        &reference);
+    if (!status.ok()) {
+      std::fprintf(stderr, "request %d: %s\n", verified,
+                   status.ToString().c_str());
+      ++failures;
+      break;
+    }
+    if (reference->grid.values() != response->response->grid.values()) {
       std::fprintf(stderr,
-                   "request %d: served grid differs from direct Execute\n",
+                   "request %d: served grid differs from ExecuteChecked\n",
                    verified);
       ++failures;
       break;
@@ -1186,7 +1190,7 @@ int CmdWireVerify(const Args& args) {
   std::fclose(req_file);
   std::fclose(resp_file);
   if (failures > 0) return 2;
-  std::printf("verified %d responses bit-identical to direct Execute\n",
+  std::printf("verified %d responses bit-identical to direct ExecuteChecked\n",
               verified);
   return 0;
 }
