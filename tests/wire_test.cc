@@ -632,7 +632,8 @@ TEST(WireDeltaTest, EveryTruncationDecodesToAnErrorNotACrash) {
     EXPECT_FALSE(
         DecodeDeltaRequest(std::span(bytes.data(), len), &status).has_value())
         << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
+    EXPECT_FALSE(status.message.empty());
   }
 }
 
@@ -791,7 +792,8 @@ TEST(WireTileRequestTest, EveryTruncationDecodesToAnErrorNotACrash) {
     EXPECT_FALSE(
         DecodeTileRequest(std::span(bytes.data(), len), &status).has_value())
         << "prefix of " << len << " bytes decoded";
-    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
+    EXPECT_FALSE(status.message.empty());
   }
   auto trailing = bytes;
   trailing.push_back(0);
