@@ -4,7 +4,9 @@
 //   2. influence-bound pruning inside the Pruning comparator;
 //   3. enclosure-index backend for the baseline (segment tree vs R-tree);
 //   4. the element-distinctness reduction (Section VI-C) as a scaling probe
-//      of the n log n term.
+//      of the n log n term;
+//   5. count-only labeling: the paper's set-copying CREST against the
+//      running-count path a size measure with a set-blind sink takes.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "bench_common.h"
 #include "core/baseline.h"
 #include "core/crest.h"
+#include "core/crest_l2.h"
 #include "core/crest_parallel.h"
 #include "core/pruning.h"
 #include "core/regular_grid.h"
@@ -20,6 +23,18 @@
 
 using namespace rnnhm;
 using namespace rnnhm::bench;
+
+namespace {
+
+// Discards labelings but keeps the default reads_sets(), so the sweep
+// copies every RNN set for it (Section V-D's base sets).
+class SetReadingSink : public RegionLabelSink {
+ public:
+  void OnRegionLabel(const Rect&, std::span<const int32_t>, double) override {
+  }
+};
+
+}  // namespace
 
 int main() {
   const bool full = FullMode();
@@ -179,6 +194,42 @@ int main() {
         std::printf(" %12.1f", ms);
       }
       std::printf("\n");
+    }
+  }
+
+  std::printf("\n=== Ablation 8: count-only labeling (size measure, "
+              "set-blind sink) ===\n");
+  std::printf("%-10s %-6s %12s %12s %12s %9s\n", "|O|", "metric", "k",
+              "sets ms", "count ms", "speedup");
+  {
+    const Dataset ds = MakeDataset(DatasetKind::kUniform, 9);
+    struct Row {
+      size_t clients, facilities;
+      Metric metric;
+    };
+    for (const Row& row : full ? std::vector<Row>{{2000, 20, Metric::kLInf},
+                                                  {8000, 80, Metric::kLInf},
+                                                  {400, 16, Metric::kL2},
+                                                  {1600, 64, Metric::kL2}}
+                               : std::vector<Row>{{2000, 20, Metric::kLInf},
+                                                  {400, 16, Metric::kL2}}) {
+      const PreparedWorkload p =
+          Prepare(ds, row.clients, row.facilities, row.metric, 10);
+      SetReadingSink set_sink;
+      CountingSink count_sink;
+      auto sweep = [&](RegionLabelSink* sink) {
+        if (row.metric == Metric::kL2) {
+          RunCrestL2(p.circles, measure, sink);
+        } else {
+          RunCrest(p.circles, measure, sink);
+        }
+      };
+      const double sets_ms = TimeMs([&] { sweep(&set_sink); });
+      const double count_ms = TimeMs([&] { sweep(&count_sink); });
+      std::printf("%-10zu %-6s %12zu %12.1f %12.1f %8.1fx\n", row.clients,
+                  row.metric == Metric::kL2 ? "L2" : "Linf",
+                  count_sink.count(), sets_ms, count_ms,
+                  sets_ms / std::max(count_ms, 1e-3));
     }
   }
   return 0;

@@ -76,8 +76,9 @@ class MultimapStatus {
   Map map_;
 };
 
-// The sweep state (Algorithm 1). One instance per RunCrest call.
-template <typename Status>
+// The sweep state (Algorithm 1). One instance per RunCrest call. `State`
+// is SetLabelState or CountLabelState (core/base_set.h).
+template <typename Status, typename State>
 class Sweep {
  public:
   using Handle = typename Status::Handle;
@@ -86,7 +87,6 @@ class Sweep {
         const InfluenceMeasure& measure, RegionLabelSink* sink,
         const CrestOptions& options)
       : measure_(measure), sink_(sink), options_(options) {
-    RNNHM_CHECK_MSG(sink != nullptr, "CREST requires a label sink");
     // Filter out degenerate (empty-area) rectangles: they enclose no area
     // and cannot change any region's RNN set.
     rects_.reserve(rects.size());
@@ -101,8 +101,6 @@ class Sweep {
     const size_t n = rects_.size();
     handles_lower_.assign(n, Handle{});
     handles_upper_.assign(n, Handle{});
-    records_.assign(2 * n, {});
-    has_record_.assign(2 * n, 0);
     values_.assign(2 * n, 0.0);
     universe_ = 0;
     for (const ColoredRect& r : rects_) {
@@ -112,7 +110,7 @@ class Sweep {
 
   CrestStats Run() {
     BuildEventQueue();
-    BaseSet base(universe_);
+    State base(universe_, 2 * rects_.size());
     std::vector<ChangedInterval> intervals;
     size_t i = 0;
     double prev_x = 0.0;
@@ -138,10 +136,8 @@ class Sweep {
           status_.Erase(handles_lower_[s.circle]);
           status_.Erase(handles_upper_[s.circle]);
           // Drop the cached records of the removed sides (line 12).
-          has_record_[2 * s.circle] = 0;
-          has_record_[2 * s.circle + 1] = 0;
-          records_[2 * s.circle].clear();
-          records_[2 * s.circle + 1].clear();
+          base.Drop(2 * s.circle);
+          base.Drop(2 * s.circle + 1);
         }
         intervals.push_back(ChangedInterval{b.lo.y, b.hi.y});
       }
@@ -188,7 +184,7 @@ class Sweep {
   // preceding the interval and walk every element whose value lies in
   // [lo, hi], editing the base set and refreshing records on the way.
   void ProcessInterval(double lo, double hi, double x, double next_x,
-                       BaseSet& base) {
+                       State& base) {
     Handle st = status_.LowerBound(lo);
     Handle end = status_.UpperBound(hi);
     if (st == end) return;  // no element inside the interval
@@ -197,8 +193,7 @@ class Sweep {
       base.Clear();
     } else {
       const int32_t key = KeyOf(Status::Value(prev));
-      RNNHM_DCHECK(has_record_[key]);
-      base.Assign(records_[key]);
+      base.Restore(key);
       // The pair (prev, st) may have just become valid with a different
       // second element (e.g. prev was the topmost element and an insertion
       // above revived it); its set is unchanged — prev's record — but the
@@ -206,14 +201,14 @@ class Sweep {
       // pair. Refresh it for the rasterizer without counting a labeling.
       if (options_.strip_sink != nullptr &&
           Status::Key(prev) < Status::Key(st)) {
-        values_[key] = measure_.Evaluate(records_[key]);
+        values_[key] = base.RecordValue(key, measure_);
       }
     }
     Walk(st, end, x, next_x, base, /*maintain_records=*/true);
   }
 
   // CREST-A: relabel every valid pair of the current line status.
-  void ProcessWholeStatus(double x, double next_x, BaseSet& base) {
+  void ProcessWholeStatus(double x, double next_x, State& base) {
     base.Clear();
     Walk(status_.First(), status_.End(), x, next_x, base,
          /*maintain_records=*/false);
@@ -222,29 +217,29 @@ class Sweep {
   // Walks elements [st, end) applying Corollary 1: a lower side adds its
   // client to the base set, an upper side removes it; each valid pair
   // (strictly increasing y) is labeled with the current set.
-  void Walk(Handle st, Handle end, double x, double next_x, BaseSet& base,
+  void Walk(Handle st, Handle end, double x, double next_x, State& base,
             bool maintain_records) {
     Handle last = status_.End();
     for (Handle node = st; node != end; node = status_.Next(node)) {
       ++stats_.num_elements_walked;
       const SideElement& e = Status::Value(node);
+      const std::span<const int32_t> client(&rects_[e.circle].client, 1);
       if (e.is_lower) {
-        base.Add(rects_[e.circle].client);
+        base.Add(client);
       } else {
-        base.Remove(rects_[e.circle].client);
+        base.Remove(client);
       }
       const int32_t key = KeyOf(e);
       Handle nxt = status_.Next(node);
       const bool valid_pair = nxt != status_.End() && nxt != end &&
                               Status::Key(node) < Status::Key(nxt);
       if (valid_pair) {
-        base.CopyTo(scratch_);
-        const double influence = measure_.Evaluate(scratch_);
+        const Labeling label = base.Label(measure_);
         ++stats_.num_labelings;
-        values_[key] = influence;
+        values_[key] = label.influence;
         sink_->OnRegionLabel(
             Rect{{x, Status::Key(node)}, {next_x, Status::Key(nxt)}},
-            scratch_, influence);
+            label.rnn, label.influence);
       }
       if (maintain_records) {
         // "For elements of the same value, the record is always maintained
@@ -255,10 +250,7 @@ class Sweep {
         // degenerate nested-squares cost from cubic to quadratic.
         const bool last_among_equals =
             nxt == status_.End() || Status::Key(node) != Status::Key(nxt);
-        if (last_among_equals) {
-          base.CopyTo(records_[key]);
-          has_record_[key] = 1;
-        }
+        if (last_among_equals) base.Save(key);
       }
       last = node;
     }
@@ -269,8 +261,7 @@ class Sweep {
     if (options_.strip_sink != nullptr && maintain_records &&
         last != status_.End() && end != status_.End() &&
         Status::Key(last) < Status::Key(end)) {
-      base.CopyTo(scratch_);
-      values_[KeyOf(Status::Value(last))] = measure_.Evaluate(scratch_);
+      values_[KeyOf(Status::Value(last))] = base.Label(measure_).influence;
     }
   }
 
@@ -299,13 +290,21 @@ class Sweep {
   Status status_;
   std::vector<Handle> handles_lower_;
   std::vector<Handle> handles_upper_;
-  std::vector<std::vector<int32_t>> records_;  // cached RNN set per element
-  std::vector<uint8_t> has_record_;
   std::vector<double> values_;  // cached influence per valid pair
-  std::vector<int32_t> scratch_;
   int32_t universe_ = 0;
   CrestStats stats_;
 };
+
+template <typename Status>
+CrestStats RunSweep(const std::vector<ColoredRect>& rects,
+                    const InfluenceMeasure& measure, RegionLabelSink* sink,
+                    const CrestOptions& options) {
+  if (CountLabelsSuffice(measure, *sink)) {
+    return Sweep<Status, CountLabelState>(rects, measure, sink, options)
+        .Run();
+  }
+  return Sweep<Status, SetLabelState>(rects, measure, sink, options).Run();
+}
 
 }  // namespace
 
@@ -313,12 +312,11 @@ CrestStats RunRegionColoring(const std::vector<ColoredRect>& rects,
                              const InfluenceMeasure& measure,
                              RegionLabelSink* sink,
                              const CrestOptions& options) {
+  RNNHM_CHECK_MSG(sink != nullptr, "CREST requires a label sink");
   if (options.status_backend == StatusBackend::kStdMultimap) {
-    Sweep<MultimapStatus> sweep(rects, measure, sink, options);
-    return sweep.Run();
+    return RunSweep<MultimapStatus>(rects, measure, sink, options);
   }
-  Sweep<SkipListStatus> sweep(rects, measure, sink, options);
-  return sweep.Run();
+  return RunSweep<SkipListStatus>(rects, measure, sink, options);
 }
 
 CrestStats RunCrest(const std::vector<NnCircle>& circles,

@@ -9,6 +9,12 @@
 //      with *base sets* cached per line element (Section V-C2), bounding the
 //      number of labelings k by Theta(r) (Lemma 3).
 // Disabling optimization 2 yields the paper's CREST-A comparison algorithm.
+//
+// Base sets and records cost O(lambda) to copy. When the measure is the set
+// size (InfluenceMeasure::IsSetSize) and the sink does not read sets
+// (RegionLabelSink::reads_sets), the sweep carries |RNN set| as a running
+// count instead: one integer per record, O(1) per labeling, the sink gets an
+// empty `rnn` span, and influences, rasters and CrestStats are unchanged.
 #ifndef RNNHM_CORE_CREST_H_
 #define RNNHM_CORE_CREST_H_
 
@@ -44,7 +50,7 @@ struct CrestStats {
   size_t num_circles = 0;          ///< non-degenerate NN-circles swept
   size_t num_skipped_circles = 0;  ///< zero-radius circles ignored
   size_t num_events = 0;           ///< distinct event x-coordinates
-  size_t num_labelings = 0;        ///< k: region labelings = influence evals
+  size_t num_labelings = 0;        ///< k: region labelings
   size_t num_merged_intervals = 0; ///< changed intervals after merging
   size_t num_elements_walked = 0;  ///< line-status elements visited
 
@@ -79,7 +85,9 @@ CrestStats RunRegionColoring(const std::vector<ColoredRect>& rects,
                              const CrestOptions& options = {});
 
 /// Runs CREST over L-infinity NN-circles (squares). Every region labeling
-/// is reported to `sink` (required). Influence values come from `measure`.
+/// is reported to `sink` (required). Influence values come from `measure`,
+/// evaluated once per labeling, or from a running count when
+/// CountLabelsSuffice(measure, *sink) (core/base_set.h).
 CrestStats RunCrest(const std::vector<NnCircle>& circles,
                     const InfluenceMeasure& measure, RegionLabelSink* sink,
                     const CrestOptions& options = {});

@@ -61,13 +61,15 @@ struct ArcKey {
   }
 };
 
+// The arc sweep. `State` is SetLabelState or CountLabelState
+// (core/base_set.h).
+template <typename State>
 class SweepL2 {
  public:
   SweepL2(const std::vector<NnCircle>& circles,
           const InfluenceMeasure& measure, RegionLabelSink* sink,
           const CrestL2Options& options)
       : measure_(measure), sink_(sink), options_(options) {
-    RNNHM_CHECK_MSG(sink != nullptr, "CREST-L2 requires a label sink");
     RNNHM_CHECK_MSG(options.clip_lo < options.clip_hi,
                     "CREST-L2 clip range must be non-empty");
     std::map<std::pair<std::pair<double, double>, double>, int32_t> dedup;
@@ -89,8 +91,6 @@ class SweepL2 {
     }
     stats_.num_circles = disks_.size();
     const size_t n = disks_.size();
-    records_.assign(2 * n, {});
-    has_record_.assign(2 * n, 0);
     live_index_.assign(n, -1);
     succ_of_.assign(2 * n, kNoArc);
     involved_.assign(2 * n, 0);
@@ -113,7 +113,7 @@ class SweepL2 {
       }
     }
     const double x_eps = span * 1e-12;
-    BaseSet base(universe_);
+    State base(universe_, 2 * disks_.size());
     size_t i = 0;
     while (i < events_.size()) {
       const double x = events_[i].x;
@@ -149,10 +149,8 @@ class SweepL2 {
             live_index_[last] = at;
             live_disks_.pop_back();
             live_index_[ev.disk] = -1;
-            has_record_[2 * ev.disk] = 0;
-            has_record_[2 * ev.disk + 1] = 0;
-            records_[2 * ev.disk].clear();
-            records_[2 * ev.disk + 1].clear();
+            base.Drop(2 * ev.disk);
+            base.Drop(2 * ev.disk + 1);
             needs_checkpoint = true;
             break;
           }
@@ -266,7 +264,7 @@ class SweepL2 {
   // one of its bounding adjacencies. So preserved pairs keep their cached
   // RNN sets — this is the changed-interval optimization in order-diff
   // form, robust to arbitrarily degenerate inputs.
-  void Checkpoint(double x, double next_x, BaseSet& base) {
+  void Checkpoint(double x, double next_x, State& base) {
     sorted_.clear();
     for (const int32_t d : live_disks_) {
       sorted_.push_back(Arc{d, false});
@@ -324,37 +322,32 @@ class SweepL2 {
   // base set of element a-1 (Corollary 1 on arcs: a lower arc adds its
   // disk's clients, an upper arc removes them), labeling pairs a..b-1 and
   // refreshing records for a..b.
-  void ProcessRange(int a, int b, double x, double next_x, BaseSet& base) {
+  void ProcessRange(int a, int b, double x, double next_x, State& base) {
     if (a == 0) {
       base.Clear();
     } else {
-      const int32_t key = KeyOf(sorted_[a - 1]);
-      RNNHM_DCHECK(has_record_[key]);
-      base.Assign(records_[key]);
+      base.Restore(KeyOf(sorted_[a - 1]));
     }
     const double xm = (x + next_x) / 2.0;
     for (int t = a; t <= b; ++t) {
       const Arc& arc = sorted_[t];
       const SweepDisk& d = disks_[arc.disk];
       if (arc.is_upper) {
-        for (const int32_t c : d.clients) base.Remove(c);
+        base.Remove(d.clients);
       } else {
-        for (const int32_t c : d.clients) base.Add(c);
+        base.Add(d.clients);
       }
       if (t < b) {
-        base.CopyTo(scratch_);
-        const double influence = measure_.Evaluate(scratch_);
+        const Labeling label = base.Label(measure_);
         ++stats_.num_labelings;
-        region_influence_[KeyOf(arc)] = influence;
+        region_influence_[KeyOf(arc)] = label.influence;
         const double y0 = ArcY(sorted_[t], xm);
         const double y1 = ArcY(sorted_[t + 1], xm);
         sink_->OnRegionLabel(
             Rect{{x, std::min(y0, y1)}, {next_x, std::max(y0, y1)}},
-            scratch_, influence);
+            label.rnn, label.influence);
       }
-      const int32_t key = KeyOf(arc);
-      base.CopyTo(records_[key]);
-      has_record_[key] = 1;
+      base.Save(KeyOf(arc));
     }
   }
 
@@ -393,10 +386,7 @@ class SweepL2 {
   std::vector<int32_t> succ_of_;     // old successor arc key per arc key
   std::vector<uint8_t> involved_;    // arc key touched by this event group
   std::vector<int32_t> involved_keys_;
-  std::vector<std::vector<int32_t>> records_;
-  std::vector<uint8_t> has_record_;
   std::vector<double> region_influence_;  // per arc key: region above it
-  std::vector<int32_t> scratch_;
   int32_t universe_ = 0;
   CrestL2Stats stats_;
 };
@@ -492,8 +482,11 @@ CrestL2Stats RunCrestL2(const std::vector<NnCircle>& circles,
                         const InfluenceMeasure& measure,
                         RegionLabelSink* sink,
                         const CrestL2Options& options) {
-  SweepL2 sweep(circles, measure, sink, options);
-  return sweep.Run();
+  RNNHM_CHECK_MSG(sink != nullptr, "CREST-L2 requires a label sink");
+  if (CountLabelsSuffice(measure, *sink)) {
+    return SweepL2<CountLabelState>(circles, measure, sink, options).Run();
+  }
+  return SweepL2<SetLabelState>(circles, measure, sink, options).Run();
 }
 
 CrestL2Stats RunCrestL2Parallel(

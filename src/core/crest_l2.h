@@ -13,7 +13,8 @@
 // by evaluating arc ordinates at the strip midpoint, intersections swap the
 // two incident arcs. Changed intervals are positional index ranges; base
 // sets are cached per arc under the same 2i / 2i+1 keying as the square
-// sweep.
+// sweep. Like the square sweep, a set-size measure with a sink that does
+// not read sets runs on |RNN set| counts alone (see core/crest.h).
 #ifndef RNNHM_CORE_CREST_L2_H_
 #define RNNHM_CORE_CREST_L2_H_
 
@@ -34,7 +35,7 @@ struct CrestL2Stats {
   size_t num_skipped_circles = 0;   ///< zero-radius circles ignored
   size_t num_events = 0;            ///< total events processed
   size_t num_cross_events = 0;      ///< intersection events
-  size_t num_labelings = 0;         ///< k: labelings = influence evals
+  size_t num_labelings = 0;         ///< k: region labelings
 
   /// Field-wise sum, mirroring CrestStats::operator+=.
   CrestL2Stats& operator+=(const CrestL2Stats& other) {

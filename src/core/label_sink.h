@@ -3,8 +3,11 @@
 // Every RC algorithm (CREST, CREST-A, CREST-L2, the baseline) reports its
 // work through a RegionLabelSink: one callback per region labeling, carrying
 // a representative rectangle, the region's RNN set, and its influence under
-// the configured measure. Common sinks (max tracking, counting, collecting)
-// are provided here; the heat-map rasterizer in heatmap/ is another sink.
+// the configured measure. A sink that declares it never reads sets
+// (reads_sets() == false) may be handed an empty set instead, which lets a
+// set-size measure run on counts alone. Common sinks (max tracking,
+// counting, collecting) are provided here; the heat-map rasterizer in
+// heatmap/ is another sink.
 #ifndef RNNHM_CORE_LABEL_SINK_H_
 #define RNNHM_CORE_LABEL_SINK_H_
 
@@ -29,6 +32,11 @@ class RegionLabelSink {
   virtual void OnRegionLabel(const Rect& subregion,
                              std::span<const int32_t> rnn,
                              double influence) = 0;
+
+  /// False iff this sink ignores `rnn`. A sweep whose measure is the set
+  /// size (InfluenceMeasure::IsSetSize) then passes an empty `rnn` span
+  /// and keeps only the count, with `influence` unchanged.
+  virtual bool reads_sets() const { return true; }
 };
 
 /// Receiver of exact vertical heat spans, used for rasterization.
@@ -67,6 +75,7 @@ class CountingSink : public RegionLabelSink {
                      double) override {
     ++count_;
   }
+  bool reads_sets() const override { return false; }
   size_t count() const { return count_; }
 
  private:
@@ -115,6 +124,12 @@ class TeeSink : public RegionLabelSink {
   void OnRegionLabel(const Rect& subregion, std::span<const int32_t> rnn,
                      double influence) override {
     for (RegionLabelSink* s : sinks_) s->OnRegionLabel(subregion, rnn, influence);
+  }
+  bool reads_sets() const override {
+    for (const RegionLabelSink* s : sinks_) {
+      if (s->reads_sets()) return true;
+    }
+    return false;
   }
 
  private:

@@ -27,6 +27,7 @@ class SizeInfluence : public InfluenceMeasure {
   double Evaluate(std::span<const int32_t> clients) const override {
     return static_cast<double>(clients.size());
   }
+  bool IsSetSize() const override { return true; }
 };
 
 /// Influence = sum of client weights.

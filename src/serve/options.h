@@ -26,6 +26,13 @@ bool ParseTransportKind(const std::string& name, TransportKind* out);
 
 const char* TransportKindName(TransportKind kind);
 
+/// Default cap on the circle sets one connection pins, and on the
+/// released sets a worker retains: retaining as many as one connection
+/// may pin keeps a whole disconnected connection's sets resolvable. A
+/// worker then holds at most 32 released sets plus 32 per open connection,
+/// however fast it serves (a 4000-client set is 128 KiB of circles).
+inline constexpr size_t kDefaultConnSets = 32;
+
 /// Everything `serve` and `route` need, with serving defaults.
 struct ServeOptions {
   // --- Transport ---------------------------------------------------------
@@ -80,12 +87,13 @@ struct ServeOptions {
   /// so a reconnecting client's by-hash requests keep resolving. 0 erases
   /// sets the moment their last registration goes away (legacy behavior —
   /// with per-connection scopes that means the instant the registering
-  /// connection closes).
-  size_t retain_sets = 256;
+  /// connection closes). Independent of request rate by design: a fast
+  /// server cycling many distinct sets retains no more than a slow one.
+  size_t retain_sets = kDefaultConnSets;
   /// Registrations one connection may hold at once (inline registers and
   /// delta derivations); the oldest is released as new ones push past the
   /// cap. 0 = unbounded per connection.
-  size_t max_conn_sets = 64;
+  size_t max_conn_sets = kDefaultConnSets;
 
   // --- Stdio/file mode ---------------------------------------------------
   std::string in_path;   ///< empty = stdin

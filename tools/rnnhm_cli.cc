@@ -48,8 +48,8 @@
 //       bounded: each connection's registrations are released when it
 //       disconnects (at most --max-conn-sets are pinned per connection),
 //       and fully released sets survive as an LRU of --retain-sets
-//       entries before eviction. SIGINT/SIGTERM drain gracefully (a
-//       second signal stops immediately).
+//       entries before eviction (both default to 32). SIGINT/SIGTERM
+//       drain gracefully (a second signal stops immediately).
 //   route [--transport tcp|unix] [--shards N] [--socket-dir DIR]
 //         [--threads T] [--slabs S] [--cache BYTES]
 //         [--by-tile --tiles RxC] plus the serve
@@ -88,9 +88,11 @@
 // from a lost socket from a truncated stream.
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -617,36 +619,64 @@ int CmdTopK(const Args& args) {
   return 0;
 }
 
-// The one place serve/route flags are parsed (ISSUE: ServeOptions is the
-// single source of serving configuration). False (with *error set) on any
+// Overwrites *value with the integer flag `name` when it is given and
+// leaves the caller's default otherwise. False (with *error set) unless the
+// whole value is a base-10 integer in [lo, hi]; the range is checked before
+// the narrowing store, so "4294967297" is an error instead of 1.
+template <typename T>
+bool ReadIntFlag(const Args& args, const char* name, long long lo,
+                 long long hi, T* value, std::string* error) {
+  const char* text = args.Flag(name);
+  if (text == nullptr) return true;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || parsed < lo ||
+      parsed > hi) {
+    *error = std::string("--") + name + " needs an integer in [" +
+             std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
+             text + "'";
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
+
+// The one place serve/route flags are parsed (ServeOptions is the single
+// source of serving configuration, defaults included: an absent flag keeps
+// the field of the caller's ServeOptions{}). False (with *error set) on any
 // out-of-range or unparsable flag.
 bool ParseServeFlags(const Args& args, ServeOptions* options,
                      std::string* error) {
-  options->threads = std::atoi(args.Flag("threads", "1"));
-  options->slabs = std::atoi(args.Flag("slabs", "1"));
-  char* cache_end = nullptr;
-  const char* cache_arg = args.Flag("cache", "0");
-  const long long cache_value = std::strtoll(cache_arg, &cache_end, 10);
-  if (cache_end == cache_arg || *cache_end != '\0' || cache_value < 0) {
-    *error = "--cache needs a non-negative byte count";
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kLongMax = std::numeric_limits<long long>::max();
+  if (!ReadIntFlag(args, "threads", 1, kIntMax, &options->threads, error) ||
+      !ReadIntFlag(args, "slabs", 1, kIntMax, &options->slabs, error) ||
+      !ReadIntFlag(args, "cache", 0, kLongMax, &options->cache_bytes,
+                   error) ||
+      !ReadIntFlag(args, "port", 0, 65535, &options->port, error) ||
+      !ReadIntFlag(args, "max-conns", 1, kIntMax, &options->max_connections,
+                   error) ||
+      !ReadIntFlag(args, "idle-timeout", 0, kIntMax,
+                   &options->idle_timeout_ms, error) ||
+      !ReadIntFlag(args, "drain-timeout", 0, kIntMax,
+                   &options->drain_timeout_ms, error) ||
+      !ReadIntFlag(args, "retain-sets", 0, kIntMax, &options->retain_sets,
+                   error) ||
+      !ReadIntFlag(args, "max-conn-sets", 0, kIntMax,
+                   &options->max_conn_sets, error) ||
+      !ReadIntFlag(args, "shards", 1, kIntMax, &options->num_shards,
+                   error)) {
     return false;
   }
-  options->cache_bytes = static_cast<size_t>(cache_value);
-  if (options->threads <= 0 || options->slabs <= 0) {
-    *error = "--threads and --slabs must be positive";
+  if (const char* transport = args.Flag("transport"); transport != nullptr &&
+      !ParseTransportKind(transport, &options->transport)) {
+    *error = std::string("unknown transport '") + transport +
+             "' (stdio|tcp|unix)";
     return false;
   }
-  if (!ParseTransportKind(args.Flag("transport", "stdio"),
-                          &options->transport)) {
-    *error = std::string("unknown transport '") +
-             args.Flag("transport", "stdio") + "' (stdio|tcp|unix)";
-    return false;
-  }
-  options->host = args.Flag("host", "127.0.0.1");
-  options->port = std::atoi(args.Flag("port", "0"));
-  if (options->port < 0 || options->port > 65535) {
-    *error = "--port must be 0..65535";
-    return false;
+  if (const char* host = args.Flag("host"); host != nullptr) {
+    options->host = host;
   }
   if (const char* path = args.Flag("path"); path != nullptr) {
     options->socket_path = path;
@@ -656,35 +686,15 @@ bool ParseServeFlags(const Args& args, ServeOptions* options,
     *error = "--transport unix needs --path";
     return false;
   }
-  options->max_connections = std::atoi(args.Flag("max-conns", "64"));
-  options->idle_timeout_ms = std::atoi(args.Flag("idle-timeout", "30000"));
-  options->drain_timeout_ms = std::atoi(args.Flag("drain-timeout", "5000"));
-  if (options->max_connections <= 0 || options->idle_timeout_ms < 0 ||
-      options->drain_timeout_ms < 0) {
-    *error = "--max-conns must be positive; timeouts non-negative";
-    return false;
-  }
-  const std::string poller = args.Flag("poller", "epoll");
-  if (poller == "epoll") {
-    options->prefer_epoll = true;
-  } else if (poller == "poll") {
-    options->prefer_epoll = false;
-  } else {
-    *error = "unknown --poller '" + poller + "' (epoll|poll)";
-    return false;
-  }
-  const int retain_sets = std::atoi(args.Flag("retain-sets", "256"));
-  const int max_conn_sets = std::atoi(args.Flag("max-conn-sets", "64"));
-  if (retain_sets < 0 || max_conn_sets < 0) {
-    *error = "--retain-sets and --max-conn-sets must be non-negative";
-    return false;
-  }
-  options->retain_sets = static_cast<size_t>(retain_sets);
-  options->max_conn_sets = static_cast<size_t>(max_conn_sets);
-  options->num_shards = std::atoi(args.Flag("shards", "2"));
-  if (options->num_shards <= 0) {
-    *error = "--shards must be positive";
-    return false;
+  if (const char* poller = args.Flag("poller"); poller != nullptr) {
+    if (std::strcmp(poller, "epoll") == 0) {
+      options->prefer_epoll = true;
+    } else if (std::strcmp(poller, "poll") == 0) {
+      options->prefer_epoll = false;
+    } else {
+      *error = std::string("unknown --poller '") + poller + "' (epoll|poll)";
+      return false;
+    }
   }
   if (const char* dir = args.Flag("socket-dir"); dir != nullptr) {
     options->socket_dir = dir;
