@@ -5,9 +5,17 @@
 //   3. enclosure-index backend for the baseline (segment tree vs R-tree);
 //   4. the element-distinctness reduction (Section VI-C) as a scaling probe
 //      of the n log n term;
-//   5. count-only labeling: the paper's set-copying CREST against the
-//      running-count path a size measure with a set-blind sink takes.
+//   5. regular-grid granularity against the exact arrangement;
+//   6. the element-distinctness reduction;
+//   7. parallel slab decomposition;
+//   8. count-only labeling: the paper's set-copying CREST against the
+//      running-count path a size measure with a set-blind sink takes;
+//   9. sample-aware strip emission: raster self-time (build minus
+//      sweep-only) with a sink that asks for every strip against the real
+//      raster sink, which declines strips holding no pixel-column center.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,7 +27,9 @@
 #include "core/pruning.h"
 #include "core/regular_grid.h"
 #include "data/generators.h"
+#include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
+#include "heatmap/raster_sink.h"
 
 using namespace rnnhm;
 using namespace rnnhm::bench;
@@ -33,6 +43,28 @@ class SetReadingSink : public RegionLabelSink {
   void OnRegionLabel(const Rect&, std::span<const int32_t>, double) override {
   }
 };
+
+// Raster sinks that ask for every strip, so the sweep walks the line
+// status at every event even where no pixel column is sampled.
+class WalkAllStripSink : public RasterStripSink {
+ public:
+  using RasterStripSink::RasterStripSink;
+  bool Samples(double, double) const override { return true; }
+};
+
+class WalkAllArcSink : public RasterArcSink {
+ public:
+  using RasterArcSink::RasterArcSink;
+  bool Samples(double, double) const override { return true; }
+};
+
+// Fastest of `reps` timed runs of f.
+template <typename F>
+double MinMs(int reps, F&& f) {
+  double best = TimeMs(f);
+  for (int r = 1; r < reps; ++r) best = std::min(best, TimeMs(f));
+  return best;
+}
 
 }  // namespace
 
@@ -230,6 +262,68 @@ int main() {
                   row.metric == Metric::kL2 ? "L2" : "Linf",
                   count_sink.count(), sets_ms, count_ms,
                   sets_ms / std::max(count_ms, 1e-3));
+    }
+  }
+
+  std::printf("\n=== Ablation 9: sample-aware strip emission (192^2 "
+              "raster, min of 3) ===\n");
+  std::printf("%-10s %-6s %10s %12s %12s %12s %12s %6s\n", "|O|", "metric",
+              "sweep ms", "walk-all ms", "sampled ms", "raster(all)",
+              "raster(smp)", "equal");
+  {
+    constexpr int kRes = 192;
+    const Dataset ds = MakeDataset(DatasetKind::kUniform, 11);
+    struct Row {
+      size_t clients, facilities;
+      Metric metric;
+    };
+    for (const Row& row : {Row{2000, 20, Metric::kLInf},
+                           Row{400, 16, Metric::kL2}}) {
+      const PreparedWorkload p =
+          Prepare(ds, row.clients, row.facilities, row.metric, 12);
+      std::vector<Point> points = p.workload.clients;
+      points.insert(points.end(), p.workload.facilities.begin(),
+                    p.workload.facilities.end());
+      const Rect domain = BoundingBox(points);
+      const double background = measure.Evaluate({});
+      // One sequential sweep, rasterizing through `strip`/`arc` when set.
+      auto sweep = [&](StripSink* strip, ArcStripSink* arc) {
+        CountingSink labels;
+        if (row.metric == Metric::kL2) {
+          CrestL2Options options;
+          options.arc_sink = arc;
+          RunCrestL2(p.circles, measure, &labels, options);
+        } else {
+          CrestOptions options;
+          options.strip_sink = strip;
+          RunCrest(p.circles, measure, &labels, options);
+        }
+      };
+      auto build = [&](HeatmapGrid* grid, bool walk_all) {
+        *grid = HeatmapGrid(kRes, kRes, domain, background);
+        if (walk_all) {
+          WalkAllStripSink strip(grid);
+          WalkAllArcSink arc(grid);
+          sweep(&strip, &arc);
+        } else {
+          RasterStripSink strip(grid);
+          RasterArcSink arc(grid);
+          sweep(&strip, &arc);
+        }
+      };
+      HeatmapGrid walk_grid(1, 1, domain), sampled_grid(1, 1, domain);
+      const double sweep_ms = MinMs(3, [&] { sweep(nullptr, nullptr); });
+      const double walk_ms = MinMs(3, [&] { build(&walk_grid, true); });
+      const double sampled_ms = MinMs(3, [&] { build(&sampled_grid, false); });
+      const bool equal =
+          walk_grid.values().size() == sampled_grid.values().size() &&
+          std::memcmp(walk_grid.data(), sampled_grid.data(),
+                      sizeof(double) * walk_grid.values().size()) == 0;
+      std::printf("%-10zu %-6s %10.1f %12.1f %12.1f %12.1f %12.1f %6s\n",
+                  row.clients, row.metric == Metric::kL2 ? "L2" : "Linf",
+                  sweep_ms, walk_ms, sampled_ms, walk_ms - sweep_ms,
+                  sampled_ms - sweep_ms, equal ? "yes" : "NO");
+      if (!equal) return 1;
     }
   }
   return 0;

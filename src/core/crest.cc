@@ -118,8 +118,10 @@ class Sweep {
     while (i < sides_.size()) {
       const double x = sides_[i].x;
       ++stats_.num_events;
-      // Emit the finished strip [prev_x, x] before mutating the status.
-      if (options_.strip_sink != nullptr && have_prev && prev_x < x) {
+      // Emit the finished strip [prev_x, x] before mutating the status,
+      // unless the sink reads nothing from it.
+      if (options_.strip_sink != nullptr && have_prev && prev_x < x &&
+          options_.strip_sink->Samples(prev_x, x)) {
         EmitStrip(prev_x, x);
       }
       // Apply every side with this x-coordinate (one event, Section V-A).

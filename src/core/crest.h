@@ -39,7 +39,8 @@ struct CrestOptions {
   /// true  -> full CREST (changed intervals + cached base sets);
   /// false -> CREST-A (every valid pair of every line status is relabeled).
   bool use_changed_intervals = true;
-  /// Optional rasterization hook: receives exact heat spans per strip.
+  /// Optional rasterization hook: receives exact heat spans for every
+  /// strip it samples (StripSink::Samples).
   StripSink* strip_sink = nullptr;
   /// Ordered container implementing the line status.
   StatusBackend status_backend = StatusBackend::kSkipList;

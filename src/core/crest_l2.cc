@@ -177,9 +177,11 @@ class SweepL2 {
       }
       // Rasterize the strip up to the next event. Checkpoints skip groups
       // with no structural change (center events preserve order and region
-      // contents), but every strip must still be painted; the cached
-      // per-pair influence makes that free of influence evaluations.
-      if (options_.arc_sink != nullptr && x < next_x) {
+      // contents), but every strip the sink samples must still be painted;
+      // the cached per-pair influence makes that free of influence
+      // evaluations.
+      if (options_.arc_sink != nullptr && x < next_x &&
+          options_.arc_sink->Samples(x, next_x)) {
         EmitStrip(x, next_x);
       }
     }

@@ -53,8 +53,8 @@ struct CrestL2Stats {
 /// the arc ordinates themselves (ArcYAt) wherever they need them — e.g. a
 /// rasterizer samples both arcs at each pixel-column center, which is what
 /// makes the painted grid independent of how strips were subdivided.
-/// Strips of one sweep tile its x-range; regions of one strip tile the
-/// y-range between the lowest and highest live arc.
+/// Every strip the sink samples (Samples) is reported; regions of one
+/// reported strip tile the y-range between the lowest and highest live arc.
 class ArcStripSink {
  public:
   /// One bounding arc: the lower or upper semicircle of a disk.
@@ -70,12 +70,16 @@ class ArcStripSink {
   /// `influence`. At every x in the strip, lower's ordinate is <= upper's.
   virtual void OnArcStrip(double x0, double x1, const ArcGeom& lower,
                           const ArcGeom& upper, double influence) = 0;
+
+  /// False iff the sink reads nothing from the strip [x0, x1); see
+  /// StripSink::Samples.
+  virtual bool Samples(double /*x0*/, double /*x1*/) const { return true; }
 };
 
 /// Tuning knobs and hooks for an L2 sweep run.
 struct CrestL2Options {
   /// Optional rasterization hook; receives every adjacent-arc region of
-  /// every strip (curved analogue of CrestOptions::strip_sink).
+  /// every strip it samples (curved analogue of CrestOptions::strip_sink).
   ArcStripSink* arc_sink = nullptr;
   /// Sweep only the vertical slab [clip_lo, clip_hi): disks are clipped to
   /// the slab (arcs entering it behave like a sweep starting mid-way), and

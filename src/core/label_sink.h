@@ -40,14 +40,21 @@ class RegionLabelSink {
 };
 
 /// Receiver of exact vertical heat spans, used for rasterization.
-/// For each strip between consecutive sweep events, the sweep reports every
-/// valid pair once: the strip's x-range, the pair's y-range and the cached
-/// influence of the region. Spans tile each strip exactly.
+/// For every strip between consecutive sweep events that the sink samples
+/// (Samples), the sweep reports every valid pair once: the strip's x-range,
+/// the pair's y-range and the cached influence of the region. Spans tile
+/// each reported strip exactly.
 class StripSink {
  public:
   virtual ~StripSink() = default;
   virtual void OnSpan(double x0, double x1, double y0, double y1,
                       double influence) = 0;
+
+  /// False iff the sink reads nothing from any span of the strip [x0, x1);
+  /// the sweep then skips the strip's whole line-status walk. A raster
+  /// samples only pixel-column centers, so most strips of a fine
+  /// arrangement are skipped. May be called concurrently by slab shards.
+  virtual bool Samples(double /*x0*/, double /*x1*/) const { return true; }
 };
 
 /// Tracks the maximum influence seen and one witness region.

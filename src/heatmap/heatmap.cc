@@ -26,13 +26,30 @@ Point HeatmapGrid::PixelCenter(int i, int j) const {
   return Point{domain_.lo.x + (i + 0.5) * dx, domain_.lo.y + (j + 0.5) * dy};
 }
 
+namespace {
+
+// Truncates the cell-unit offset t to an index in [0, n). Clamping before
+// the cast keeps out-of-int-range and NaN offsets defined; in range it is
+// the plain truncating cast.
+int ClampedCell(double t, int n) {
+  if (!(t > 0.0)) return 0;
+  if (t >= n - 1.0) return n - 1;
+  return static_cast<int>(t);
+}
+
+}  // namespace
+
+void GridCellOf(const Rect& domain, int width, int height, const Point& p,
+                int* i, int* j) {
+  const double dx = (domain.hi.x - domain.lo.x) / width;
+  const double dy = (domain.hi.y - domain.lo.y) / height;
+  *i = ClampedCell((p.x - domain.lo.x) / dx, width);
+  *j = ClampedCell((p.y - domain.lo.y) / dy, height);
+}
+
 double HeatmapGrid::Sample(const Point& p) const {
-  const double dx = (domain_.hi.x - domain_.lo.x) / width_;
-  const double dy = (domain_.hi.y - domain_.lo.y) / height_;
-  int i = static_cast<int>((p.x - domain_.lo.x) / dx);
-  int j = static_cast<int>((p.y - domain_.lo.y) / dy);
-  i = std::clamp(i, 0, width_ - 1);
-  j = std::clamp(j, 0, height_ - 1);
+  int i = 0, j = 0;
+  GridCellOf(domain_, width_, height_, p, &i, &j);
   return At(i, j);
 }
 

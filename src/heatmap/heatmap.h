@@ -47,7 +47,8 @@ class HeatmapGrid {
   /// Center of pixel (i, j).
   Point PixelCenter(int i, int j) const;
 
-  /// Value of the pixel containing p (clamped to the domain).
+  /// Value of the pixel containing p (clamped to the domain; a NaN
+  /// coordinate reads index 0). See GridCellOf.
   double Sample(const Point& p) const;
 
   /// Maximum stored value.
@@ -65,6 +66,15 @@ class HeatmapGrid {
   Rect domain_;
   std::vector<double> values_;
 };
+
+/// The cell (*i, *j) of a width x height grid over `domain` containing p:
+/// the truncated offset in cell units, clamped to the grid in double space
+/// before the int cast, so a far-off point reads the nearest edge cell and
+/// a NaN coordinate reads index 0 (the same clamp as PixelAxis::LowerBound).
+/// HeatmapGrid::Sample's lookup; the tiled L1 resample calls it too, so
+/// tiled and untiled L1 read the same rotated cell by construction.
+void GridCellOf(const Rect& domain, int width, int height, const Point& p,
+                int* i, int* j);
 
 /// Builds the exact heat map of L-infinity NN-circles via the CREST strip
 /// rasterizer. Pixels outside every labeled span keep the influence of the

@@ -25,17 +25,13 @@ IncrementalRasterStats RecomputeDirtyColumns(
   const double dy = (domain.hi.y - domain.lo.y) / grid->height();
   const double background = measure.Evaluate({});
 
-  // The event-grouping span must come from the full input so each slab
-  // sweep groups simultaneous events exactly like an unclipped sweep.
-  CrestL2Options l2_options;
-  if (metric == Metric::kL2) {
-    l2_options.event_group_span = DiskEventGroupSpan(circles);
-  }
-
+  // RunCrestSlabMetric derives the L2 event-grouping span from the full
+  // input, so each slab groups simultaneous events like an unclipped sweep.
   RasterStripSink strip_raster(grid);
   RasterArcSink arc_raster(grid);
   CrestOptions crest_options;
   crest_options.strip_sink = &strip_raster;
+  CrestL2Options l2_options;
   l2_options.arc_sink = &arc_raster;
 
   for (const DirtyRect& rect : dirty.Merged()) {
@@ -76,15 +72,9 @@ IncrementalRasterStats RecomputeDirtyColumns(
     const MetricSweepStats slab_stats =
         RunCrestSlabMetric(metric, circles, measure, &labels, clip_lo,
                            clip_hi, crest_options, l2_options);
-    stats.sweep.crest.num_events += slab_stats.crest.num_events;
-    stats.sweep.crest.num_labelings += slab_stats.crest.num_labelings;
-    stats.sweep.crest.num_merged_intervals +=
-        slab_stats.crest.num_merged_intervals;
-    stats.sweep.crest.num_elements_walked +=
-        slab_stats.crest.num_elements_walked;
-    stats.sweep.l2.num_events += slab_stats.l2.num_events;
-    stats.sweep.l2.num_cross_events += slab_stats.l2.num_cross_events;
-    stats.sweep.l2.num_labelings += slab_stats.l2.num_labelings;
+    // Work counters sum over slabs; circle counts describe the whole input.
+    stats.sweep.crest += slab_stats.crest;
+    stats.sweep.l2 += slab_stats.l2;
     stats.sweep.crest.num_circles = slab_stats.crest.num_circles;
     stats.sweep.crest.num_skipped_circles =
         slab_stats.crest.num_skipped_circles;

@@ -24,33 +24,16 @@ PixelAxis MakeRows(const HeatmapGrid& grid) {
   return PixelAxis(d.lo.y, (d.hi.y - d.lo.y) / grid.height(), grid.height());
 }
 
-void CheckFragmentWindow(const HeatmapGrid& grid, int col_lo, int col_hi,
-                         int row_lo, int row_hi, int origin_col,
-                         int origin_row) {
-  RNNHM_CHECK(origin_col <= col_lo && origin_row <= row_lo);
-  RNNHM_CHECK(col_hi - origin_col <= grid.width());
-  RNNHM_CHECK(row_hi - origin_row <= grid.height());
-}
-
 }  // namespace
 
-RasterStripSink::RasterStripSink(HeatmapGrid* grid)
-    : grid_(grid),
-      cols_(MakeCols(*grid)),
-      rows_(MakeRows(*grid)),
-      col_lo_(0),
-      col_hi_(grid->width()),
-      row_lo_(0),
-      row_hi_(grid->height()),
-      win_row_lo_(0),
-      win_row_hi_(grid->height()),
-      origin_col_(0),
-      origin_row_(0) {}
+RasterWindow::RasterWindow(HeatmapGrid* grid)
+    : RasterWindow(grid, MakeCols(*grid), MakeRows(*grid), 0, grid->width(),
+                   0, grid->height(), 0, 0) {}
 
-RasterStripSink::RasterStripSink(HeatmapGrid* grid, const PixelAxis& cols,
-                                 const PixelAxis& rows, int col_lo,
-                                 int col_hi, int row_lo, int row_hi,
-                                 int origin_col, int origin_row)
+RasterWindow::RasterWindow(HeatmapGrid* grid, const PixelAxis& cols,
+                           const PixelAxis& rows, int col_lo, int col_hi,
+                           int row_lo, int row_hi, int origin_col,
+                           int origin_row)
     : grid_(grid),
       cols_(cols),
       rows_(rows),
@@ -62,11 +45,12 @@ RasterStripSink::RasterStripSink(HeatmapGrid* grid, const PixelAxis& cols,
       win_row_hi_(row_hi),
       origin_col_(origin_col),
       origin_row_(origin_row) {
-  CheckFragmentWindow(*grid, col_lo, col_hi, row_lo, row_hi, origin_col,
-                      origin_row);
+  RNNHM_CHECK(origin_col <= col_lo && origin_row <= row_lo);
+  RNNHM_CHECK(col_hi - origin_col <= grid->width());
+  RNNHM_CHECK(row_hi - origin_row <= grid->height());
 }
 
-void RasterStripSink::SetRowWindow(int row_lo, int row_hi) {
+void RasterWindow::SetRowWindow(int row_lo, int row_hi) {
   row_lo_ = std::max(win_row_lo_, row_lo);
   row_hi_ = std::min(win_row_hi_, row_hi);
 }
@@ -76,8 +60,8 @@ void RasterStripSink::OnSpan(double x0, double x1, double y0, double y1,
   // A pixel is painted iff its center lies in [x0, x1) x [y0, y1); spans
   // tile strips exactly, so half-open edges avoid double-painting. The
   // center tables are monotone, so the painted set is one index rectangle.
-  const int i0 = std::max(cols_.LowerBound(x0), col_lo_);
-  const int i1 = std::min(cols_.LowerBound(x1), col_hi_);
+  const int i0 = ColumnLo(x0);
+  const int i1 = ColumnHi(x1);
   if (i0 >= i1) return;
   const int j0 = std::max(rows_.LowerBound(y0), row_lo_);
   const int j1 = std::min(rows_.LowerBound(y1), row_hi_);
@@ -87,47 +71,10 @@ void RasterStripSink::OnSpan(double x0, double x1, double y0, double y1,
   }
 }
 
-RasterArcSink::RasterArcSink(HeatmapGrid* grid)
-    : grid_(grid),
-      cols_(MakeCols(*grid)),
-      rows_(MakeRows(*grid)),
-      col_lo_(0),
-      col_hi_(grid->width()),
-      row_lo_(0),
-      row_hi_(grid->height()),
-      win_row_lo_(0),
-      win_row_hi_(grid->height()),
-      origin_col_(0),
-      origin_row_(0) {}
-
-RasterArcSink::RasterArcSink(HeatmapGrid* grid, const PixelAxis& cols,
-                             const PixelAxis& rows, int col_lo, int col_hi,
-                             int row_lo, int row_hi, int origin_col,
-                             int origin_row)
-    : grid_(grid),
-      cols_(cols),
-      rows_(rows),
-      col_lo_(col_lo),
-      col_hi_(col_hi),
-      row_lo_(row_lo),
-      row_hi_(row_hi),
-      win_row_lo_(row_lo),
-      win_row_hi_(row_hi),
-      origin_col_(origin_col),
-      origin_row_(origin_row) {
-  CheckFragmentWindow(*grid, col_lo, col_hi, row_lo, row_hi, origin_col,
-                      origin_row);
-}
-
-void RasterArcSink::SetRowWindow(int row_lo, int row_hi) {
-  row_lo_ = std::max(win_row_lo_, row_lo);
-  row_hi_ = std::min(win_row_hi_, row_hi);
-}
-
 void RasterArcSink::OnArcStrip(double x0, double x1, const ArcGeom& lower,
                                const ArcGeom& upper, double influence) {
-  const int i0 = std::max(cols_.LowerBound(x0), col_lo_);
-  const int i1 = std::min(cols_.LowerBound(x1), col_hi_);
+  const int i0 = ColumnLo(x0);
+  const int i1 = ColumnHi(x1);
   const int width = grid_->width();
   double* const base = grid_->data();
   double ylo[kArcBatch];

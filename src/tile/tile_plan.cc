@@ -50,16 +50,6 @@ void Accumulate(const CrestL2Stats& s, MetricSweepStats* out) {
   if (out != nullptr) out->l2 += s;
 }
 
-// HeatmapGrid::Sample's cell lookup, verbatim (same expression order, same
-// truncating cast, same clamp), over explicit square-grid geometry — the
-// tiled L1 resample must read exactly the cell the untiled resample reads.
-void SampleCell(const Rect& domain, int res, const Point& p, int* i, int* j) {
-  const double dx = (domain.hi.x - domain.lo.x) / res;
-  const double dy = (domain.hi.y - domain.lo.y) / res;
-  *i = std::clamp(static_cast<int>((p.x - domain.lo.x) / dx), 0, res - 1);
-  *j = std::clamp(static_cast<int>((p.y - domain.lo.y) / dy), 0, res - 1);
-}
-
 }  // namespace
 
 std::vector<TileWindow> TileWindows(const Rect& domain, int width, int height,
@@ -153,7 +143,8 @@ TilePlan::TilePlan(Metric metric, std::span<const NnCircle> circles,
       int si_lo = rot_res_, si_hi = -1, sj_lo = rot_res_, sj_hi = -1;
       for (const Point& p : pc) {
         int si = 0, sj = 0;
-        SampleCell(rot_domain_, rot_res_, RotateToLInf(p), &si, &sj);
+        GridCellOf(rot_domain_, rot_res_, rot_res_, RotateToLInf(p), &si,
+                   &sj);
         si_lo = std::min(si_lo, si);
         si_hi = std::max(si_hi, si);
         sj_lo = std::min(sj_lo, sj);
@@ -265,7 +256,7 @@ void TilePlan::SweepWindowed(const Tile& t, const InfluenceMeasure& measure,
           const Point q = RotateToLInf(
               Point{cols_axis.centers()[i], rows_axis.centers()[j]});
           int si = 0, sj = 0;
-          SampleCell(rot_domain_, rot_res_, q, &si, &sj);
+          GridCellOf(rot_domain_, rot_res_, rot_res_, q, &si, &sj);
           RNNHM_CHECK_MSG(si >= rw.col_lo && si < rw.col_hi &&
                               sj >= rw.row_lo && sj < rw.row_hi,
                           "L1 resample read outside the tile's rotated "

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,32 @@ TEST(HeatmapGridTest, GeometryAccessors) {
   EXPECT_DOUBLE_EQ(grid.Sample({3.9, 1.9}), 9.0);
   EXPECT_DOUBLE_EQ(grid.Sample({100, 100}), 9.0);  // clamped
   EXPECT_DOUBLE_EQ(grid.Sample({-100, -100}), 0.5);
+}
+
+TEST(HeatmapGridTest, SampleClampsFarOffAndNaNPoints) {
+  // Cell offsets beyond int range must clamp like near ones, never wrap
+  // through an out-of-range cast.
+  HeatmapGrid grid(4, 2, Rect{{0, 0}, {4, 2}}, 0.5);
+  grid.At(3, 1) = 9.0;
+  grid.At(3, 0) = 7.0;
+  grid.At(0, 1) = 3.0;
+  EXPECT_DOUBLE_EQ(grid.Sample({3e9, 3e9}), 9.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({1e300, 1e300}), 9.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({1e300, -1e300}), 7.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({-3e9, 3e9}), 3.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({-1e300, -1e300}), 0.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(grid.Sample({inf, inf}), 9.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({-inf, inf}), 3.0);
+  // A NaN coordinate reads index 0 on its axis.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DOUBLE_EQ(grid.Sample({nan, nan}), 0.5);
+  EXPECT_DOUBLE_EQ(grid.Sample({nan, 1.5}), 3.0);
+  EXPECT_DOUBLE_EQ(grid.Sample({3.5, nan}), 7.0);
+  int i = -1, j = -1;
+  GridCellOf(grid.domain(), grid.width(), grid.height(), {2.5, 0.5}, &i, &j);
+  EXPECT_EQ(i, 2);
+  EXPECT_EQ(j, 0);
 }
 
 TEST(HeatmapBuilderTest, LInfExactVsBruteForce) {

@@ -10,6 +10,7 @@
 #include "core/label_sink.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
+#include "heatmap/raster_sink.h"
 #include "query/heatmap_session.h"
 
 namespace rnnhm {
@@ -219,6 +220,55 @@ TEST(RecomputeDirtyColumnsTest, OffScreenDirtyIntervalIsSkipped) {
   EXPECT_EQ(stats.dirty_slabs, 0);
   EXPECT_EQ(stats.dirty_columns, 0);
   EXPECT_EQ(grid.values(), before);
+}
+
+// One dirty rect runs exactly one clipped sweep, so the pass counters are
+// that sweep's counters: RunCrestSlabMetric over the rect's pixel-aligned
+// slab, with the same raster sink attached.
+TEST(RecomputeDirtyColumnsTest, SingleRectStatsEqualOneSlabSweep) {
+  SizeInfluence measure;
+  const Rect domain{{0, 0}, {1, 1}};
+  constexpr int kRes = 20;
+  const double dx = (domain.hi.x - domain.lo.x) / kRes;
+  for (const Metric metric : {Metric::kLInf, Metric::kL2}) {
+    const auto circles = RandomCircles(98, 40);
+    HeatmapGrid grid(kRes, kRes, domain);
+    DirtyRegionSet dirty;
+    dirty.Add(0.31, 0.52, 0.2, 0.7);  // column centers 6..9
+    const IncrementalRasterStats stats =
+        RecomputeDirtyColumns(&grid, metric, circles, measure, dirty);
+    ASSERT_EQ(stats.dirty_slabs, 1);
+    ASSERT_EQ(stats.dirty_columns, 4);
+
+    HeatmapGrid direct_grid(kRes, kRes, domain);
+    RasterStripSink strip_raster(&direct_grid);
+    RasterArcSink arc_raster(&direct_grid);
+    CrestOptions crest_options;
+    crest_options.strip_sink = &strip_raster;
+    CrestL2Options l2_options;
+    l2_options.arc_sink = &arc_raster;
+    CountingSink labels;
+    const MetricSweepStats direct = RunCrestSlabMetric(
+        metric, circles, measure, &labels, domain.lo.x + 6 * dx,
+        domain.lo.x + 10 * dx, crest_options, l2_options);
+    EXPECT_GT(direct.num_events(), 0u) << MetricName(metric);
+
+    const CrestStats& a = stats.sweep.crest;
+    const CrestStats& b = direct.crest;
+    EXPECT_EQ(a.num_circles, b.num_circles);
+    EXPECT_EQ(a.num_skipped_circles, b.num_skipped_circles);
+    EXPECT_EQ(a.num_events, b.num_events);
+    EXPECT_EQ(a.num_labelings, b.num_labelings);
+    EXPECT_EQ(a.num_merged_intervals, b.num_merged_intervals);
+    EXPECT_EQ(a.num_elements_walked, b.num_elements_walked);
+    const CrestL2Stats& c = stats.sweep.l2;
+    const CrestL2Stats& d = direct.l2;
+    EXPECT_EQ(c.num_circles, d.num_circles);
+    EXPECT_EQ(c.num_skipped_circles, d.num_skipped_circles);
+    EXPECT_EQ(c.num_events, d.num_events);
+    EXPECT_EQ(c.num_cross_events, d.num_cross_events);
+    EXPECT_EQ(c.num_labelings, d.num_labelings);
+  }
 }
 
 // --- Session-level tracking ----------------------------------------------
