@@ -20,10 +20,12 @@
 // Set RNNHM_BENCH_FULL=1 for larger workloads.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/check.h"
 #include "heatmap/influence.h"
 #include "query/heatmap_engine.h"
 #include "tile/tile_plan.h"
@@ -90,9 +92,13 @@ void RunEditPhase(const Dataset& dataset, Metric metric, size_t clients,
       engine.registry().Register(w.circles, metric);
   TiledServeStats cold_stats;
   const double cold_ms = TimeMs([&] {
-    engine.ExecuteTiled(
-        HeatmapRequestV2{cold_handle, kDomain, resolution, resolution}, grid,
-        grid, &cold_stats);
+    std::optional<HeatmapResponse> response;
+    RNNHM_CHECK(engine
+                    .ExecuteTiledChecked(HeatmapRequestV2{cold_handle, kDomain,
+                                                          resolution,
+                                                          resolution},
+                                         grid, grid, &response, &cold_stats)
+                    .ok());
   });
 
   // One local move: nudge the first circle. Only the tiles its old and
@@ -103,9 +109,13 @@ void RunEditPhase(const Dataset& dataset, Metric metric, size_t clients,
       engine.registry().Register(std::move(edited), metric);
   TiledServeStats warm_stats;
   const double warm_ms = TimeMs([&] {
-    engine.ExecuteTiled(
-        HeatmapRequestV2{warm_handle, kDomain, resolution, resolution}, grid,
-        grid, &warm_stats);
+    std::optional<HeatmapResponse> response;
+    RNNHM_CHECK(engine
+                    .ExecuteTiledChecked(HeatmapRequestV2{warm_handle, kDomain,
+                                                          resolution,
+                                                          resolution},
+                                         grid, grid, &response, &warm_stats)
+                    .ok());
   });
 
   std::printf("[edit/%s] %dx%d tiles at %dx%d px: cold %.1f ms (%d swept), "

@@ -51,6 +51,27 @@ SweepCacheKey TileKey(uint64_t subset_hash, const Rect& domain, int width,
                        w.col_lo,    w.col_hi, w.row_lo, w.row_hi};
 }
 
+Status CheckTileGrid(int tile_rows, int tile_cols) {
+  if (tile_rows < 1 || tile_cols < 1 || tile_rows > kMaxTileGridSide ||
+      tile_cols > kMaxTileGridSide) {
+    return Status::InvalidArgument("tile grid outside [1, 1024] x [1, 1024]");
+  }
+  return Status::Ok();
+}
+
+// Runs `serve` (which returns a Status), turning anything it throws into
+// kInternal: the Status entry points never let a sweep's exception out.
+template <typename F>
+Status Guarded(F&& serve) {
+  try {
+    return serve();
+  } catch (const std::exception& e) {
+    return Status::Internal(e.what());
+  } catch (...) {
+    return Status::Internal("sweep failed");
+  }
+}
+
 }  // namespace
 
 HeatmapEngine::HeatmapEngine(const InfluenceMeasure& measure,
@@ -82,7 +103,7 @@ HeatmapEngine::~HeatmapEngine() {
   for (std::thread& t : workers_) t.join();
 }
 
-HeatmapEngine::ResolvedRequest HeatmapEngine::Resolve(
+PinnedHeatmapRequest HeatmapEngine::Pin(
     const HeatmapRequestV2& request) const {
   // Contract checks fire at the submitting call site, not on a worker
   // thread.
@@ -94,26 +115,46 @@ HeatmapEngine::ResolvedRequest HeatmapEngine::Resolve(
   RNNHM_CHECK_MSG(set != nullptr,
                   "HeatmapRequestV2 handle is not registered with this "
                   "engine's registry");
-  return ResolvedRequest{std::move(set), request.domain, request.width,
-                         request.height};
+  return PinnedHeatmapRequest{std::move(set), request.domain, request.width,
+                              request.height};
 }
 
-std::future<HeatmapResponse> HeatmapEngine::Enqueue(ResolvedRequest request) {
-  PendingRequest pending{std::move(request), {}};
-  std::future<HeatmapResponse> future = pending.promise.get_future();
+void HeatmapEngine::Post(Task task) {
   {
     MutexLock lock(&mu_);
-    RNNHM_CHECK_MSG(!stopping_, "Submit on a stopping HeatmapEngine");
-    queue_.push_back(std::move(pending));
+    RNNHM_CHECK_MSG(!stopping_, "Post on a stopping HeatmapEngine");
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.NotifyOne();
-  return future;
 }
 
 std::future<HeatmapResponse> HeatmapEngine::Submit(
     const HeatmapRequestV2& request) {
-  return Enqueue(Resolve(request));
+  // The response (or the exception) is held until `done`, so the future
+  // resolves only after the task has left pending().
+  struct Outcome {
+    std::promise<HeatmapResponse> promise;
+    std::optional<HeatmapResponse> response;
+    std::exception_ptr error;
+  };
+  auto outcome = std::make_shared<Outcome>();
+  std::future<HeatmapResponse> future = outcome->promise.get_future();
+  Post(Task{[this, outcome, pinned = Pin(request)] {
+              try {
+                outcome->response.emplace(Serve(pinned));
+              } catch (...) {
+                outcome->error = std::current_exception();
+              }
+            },
+            [outcome] {
+              if (outcome->error) {
+                outcome->promise.set_exception(outcome->error);
+              } else {
+                outcome->promise.set_value(std::move(*outcome->response));
+              }
+            }});
+  return future;
 }
 
 std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
@@ -130,94 +171,125 @@ std::vector<HeatmapResponse> HeatmapEngine::RunBatch(
 Status HeatmapEngine::ExecuteChecked(
     const HeatmapRequestV2& request,
     std::optional<HeatmapResponse>* response) const {
+  const PinnedHeatmapRequest pinned{registry_->Resolve(request.circles),
+                                    request.domain, request.width,
+                                    request.height};
+  if (const Status status = LookupChecked(pinned, response);
+      !status.ok() || response->has_value()) {
+    return status;
+  }
+  return SweepChecked(pinned, response);
+}
+
+Status HeatmapEngine::LookupChecked(
+    const PinnedHeatmapRequest& request,
+    std::optional<HeatmapResponse>* hit) const {
   if (const Status geometry =
           CheckGeometry(request.domain, request.width, request.height);
       !geometry.ok()) {
     return geometry;
   }
-  std::shared_ptr<const CircleSetSnapshot> set =
+  if (request.set == nullptr) {
+    return Status::NotFound("handle is not registered with this engine");
+  }
+  return Guarded([&] {
+    *hit = Lookup(request);
+    return Status::Ok();
+  });
+}
+
+Status HeatmapEngine::SweepChecked(
+    const PinnedHeatmapRequest& request,
+    std::optional<HeatmapResponse>* response) const {
+  if (const Status geometry =
+          CheckGeometry(request.domain, request.width, request.height);
+      !geometry.ok()) {
+    return geometry;
+  }
+  if (request.set == nullptr) {
+    return Status::NotFound("handle is not registered with this engine");
+  }
+  return Guarded([&] {
+    *response = SweepAndAdmit(request);
+    return Status::Ok();
+  });
+}
+
+Status HeatmapEngine::ExecuteTiledChecked(
+    const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+    std::optional<HeatmapResponse>* response,
+    TiledServeStats* tile_stats) const {
+  if (const Status geometry =
+          CheckGeometry(request.domain, request.width, request.height);
+      !geometry.ok()) {
+    return geometry;
+  }
+  if (const Status grid = CheckTileGrid(tile_rows, tile_cols); !grid.ok()) {
+    return grid;
+  }
+  const std::shared_ptr<const CircleSetSnapshot> set =
       registry_->Resolve(request.circles);
   if (set == nullptr) {
     return Status::NotFound("handle is not registered with this engine");
   }
-  try {
-    *response = Serve(ResolvedRequest{std::move(set), request.domain,
-                                      request.width, request.height});
-  } catch (const std::exception& e) {
-    return Status::Internal(e.what());
-  } catch (...) {
-    return Status::Internal("sweep failed");
-  }
-  return Status::Ok();
-}
-
-HeatmapResponse HeatmapEngine::ExecuteTiled(const HeatmapRequestV2& request,
-                                            int tile_rows, int tile_cols,
-                                            TiledServeStats* tile_stats) const {
-  RNNHM_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1 &&
-                      tile_rows <= kMaxTileGridSide &&
-                      tile_cols <= kMaxTileGridSide,
-                  "ExecuteTiled needs a tile grid side in [1, 1024]");
-  const ResolvedRequest resolved = Resolve(request);
-  const CircleSetSnapshot& set = *resolved.set;
-  const TilePlan plan(set.metric(), set.circles(), resolved.domain,
-                      resolved.width, resolved.height,
-                      TilePlanOptions{tile_rows, tile_cols});
-  HeatmapResponse out{HeatmapGrid(resolved.width, resolved.height,
-                                  resolved.domain, measure_.Evaluate({})),
-                      {},
-                      {},
-                      /*from_cache=*/cache_ != nullptr,
-                      {}};
-  TiledServeStats tstats;
-  tstats.tiles = tile_rows * tile_cols;
-  for (const Tile& t : plan.tiles()) {
-    if (t.window.empty() || t.circles.empty()) {
-      // Pure background: the untiled sweep paints these pixels (if any)
-      // with measure(∅), which the output grid already holds.
-      ++tstats.background_tiles;
-      continue;
+  return Guarded([&] {
+    const TilePlan plan(set->metric(), set->circles(), request.domain,
+                        request.width, request.height,
+                        TilePlanOptions{tile_rows, tile_cols});
+    HeatmapResponse out{HeatmapGrid(request.width, request.height,
+                                    request.domain, measure_.Evaluate({})),
+                        {},
+                        {},
+                        /*from_cache=*/cache_ != nullptr,
+                        {}};
+    TiledServeStats tstats;
+    tstats.tiles = tile_rows * tile_cols;
+    for (const Tile& t : plan.tiles()) {
+      if (t.window.empty() || t.circles.empty()) {
+        // Pure background: the untiled sweep paints these pixels (if any)
+        // with measure(∅), which the output grid already holds.
+        ++tstats.background_tiles;
+        continue;
+      }
+      HeatmapResponse fragment =
+          ServeTileFragment(plan, t, set->metric(), request.domain,
+                            request.width, request.height);
+      TilePlan::StitchFragment(t.window, fragment.grid, &out.grid);
+      out.stats += fragment.stats;
+      out.l2_stats += fragment.l2_stats;
+      if (fragment.from_cache) {
+        ++tstats.cached_tiles;
+      } else {
+        ++tstats.swept_tiles;
+        out.from_cache = false;
+      }
     }
-    HeatmapResponse fragment =
-        ServeTileFragment(plan, t, set.metric(), resolved.domain,
-                          resolved.width, resolved.height);
-    TilePlan::StitchFragment(t.window, fragment.grid, &out.grid);
-    out.stats += fragment.stats;
-    out.l2_stats += fragment.l2_stats;
-    if (fragment.from_cache) {
-      ++tstats.cached_tiles;
-    } else {
-      ++tstats.swept_tiles;
-      out.from_cache = false;
-    }
-  }
-  if (cache_ == nullptr) out.from_cache = false;
-  out.cache = cache_stats();
-  if (tile_stats != nullptr) *tile_stats = tstats;
-  return out;
+    out.cache = cache_stats();
+    if (tile_stats != nullptr) *tile_stats = tstats;
+    *response = std::move(out);
+    return Status::Ok();
+  });
 }
 
 Status HeatmapEngine::ExecuteTileFragmentChecked(
-    const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+    const PinnedHeatmapRequest& request, int tile_rows, int tile_cols,
     int tile_id, std::optional<HeatmapResponse>* response) const {
   if (const Status geometry =
           CheckGeometry(request.domain, request.width, request.height);
       !geometry.ok()) {
     return geometry;
   }
-  if (tile_rows < 1 || tile_cols < 1 || tile_rows > kMaxTileGridSide ||
-      tile_cols > kMaxTileGridSide) {
-    return Status::InvalidArgument("tile grid outside [1, 1024] x [1, 1024]");
+  if (const Status grid = CheckTileGrid(tile_rows, tile_cols); !grid.ok()) {
+    return grid;
   }
   if (tile_id < 0 || tile_id >= tile_rows * tile_cols) {
     return Status::InvalidArgument("tile id outside the tile grid");
   }
-  std::shared_ptr<const CircleSetSnapshot> set =
-      registry_->Resolve(request.circles);
+  const CircleSetSnapshot* set = request.set.get();
   if (set == nullptr) {
     return Status::NotFound("handle is not registered with this engine");
   }
-  try {
+  return Guarded([&] {
     const TilePlan plan(set->metric(), set->circles(), request.domain,
                         request.width, request.height,
                         TilePlanOptions{tile_rows, tile_cols});
@@ -228,12 +300,8 @@ Status HeatmapEngine::ExecuteTileFragmentChecked(
     }
     *response = ServeTileFragment(plan, t, set->metric(), request.domain,
                                   request.width, request.height);
-  } catch (const std::exception& e) {
-    return Status::Internal(e.what());
-  } catch (...) {
-    return Status::Internal("tile sweep failed");
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 Status HeatmapEngine::ExecuteDeltaChecked(
@@ -264,7 +332,7 @@ Status HeatmapEngine::ExecuteDeltaChecked(
   if (set == nullptr) {
     return Status::NotFound("derived set released before it could be served");
   }
-  try {
+  return Guarded([&] {
     if (cache_ != nullptr) {
       const SweepCacheKey derived_key{set->content_hash(), domain, width,
                                       height};
@@ -296,13 +364,10 @@ Status HeatmapEngine::ExecuteDeltaChecked(
         }
       }
     }
-    *response = Serve(ResolvedRequest{std::move(set), domain, width, height});
-  } catch (const std::exception& e) {
-    return Status::Internal(e.what());
-  } catch (...) {
-    return Status::Internal("sweep failed");
-  }
-  return Status::Ok();
+    *response = SweepAndAdmit(
+        PinnedHeatmapRequest{std::move(set), domain, width, height});
+    return Status::Ok();
+  });
 }
 
 HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
@@ -338,22 +403,34 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
   return response;
 }
 
-HeatmapResponse HeatmapEngine::Serve(const ResolvedRequest& request) const {
+HeatmapResponse HeatmapEngine::Serve(
+    const PinnedHeatmapRequest& request) const {
+  std::optional<HeatmapResponse> hit = Lookup(request);
+  return hit.has_value() ? std::move(*hit) : SweepAndAdmit(request);
+}
+
+std::optional<HeatmapResponse> HeatmapEngine::Lookup(
+    const PinnedHeatmapRequest& request) const {
+  if (cache_ == nullptr) return std::nullopt;
+  return cache_->Lookup(SweepCacheKey{request.set->content_hash(),
+                                      request.domain, request.width,
+                                      request.height},
+                        request.set);
+}
+
+HeatmapResponse HeatmapEngine::SweepAndAdmit(
+    const PinnedHeatmapRequest& request) const {
   const CircleSetSnapshot& set = *request.set;
+  HeatmapResponse response = Sweep(set.circles(), set.metric(),
+                                   request.domain, request.width,
+                                   request.height);
   if (cache_ != nullptr) {
-    const SweepCacheKey key{set.content_hash(), request.domain, request.width,
-                            request.height};
-    std::optional<HeatmapResponse> hit = cache_->Lookup(key, request.set);
-    if (hit.has_value()) return std::move(*hit);
-    HeatmapResponse response = Sweep(set.circles(), set.metric(),
-                                     request.domain, request.width,
-                                     request.height);
-    cache_->Insert(key, request.set, response);
+    cache_->Insert(SweepCacheKey{set.content_hash(), request.domain,
+                                 request.width, request.height},
+                   request.set, response);
     response.cache = cache_->stats();
-    return response;
   }
-  return Sweep(set.circles(), set.metric(), request.domain, request.width,
-               request.height);
+  return response;
 }
 
 HeatmapResponse HeatmapEngine::Sweep(const std::vector<NnCircle>& circles,
@@ -408,34 +485,24 @@ SweepCacheStats HeatmapEngine::cache_stats() const {
 
 void HeatmapEngine::WorkerLoop() {
   for (;;) {
-    std::optional<PendingRequest> work;
+    std::optional<Task> task;
     {
       MutexLock lock(&mu_);
       // An explicit predicate loop (rather than the predicate overload of
       // wait) keeps the guarded reads inside this analyzed scope.
       while (!stopping_ && queue_.empty()) work_available_.Wait(mu_);
       if (queue_.empty()) return;  // stopping_ with a drained queue
-      work.emplace(std::move(queue_.front()));
+      task.emplace(std::move(queue_.front()));
       queue_.pop_front();
     }
-    std::optional<HeatmapResponse> response;
-    std::exception_ptr error;
-    try {
-      response.emplace(Serve(work->request));
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Leave the pending count before fulfilling the future, so a caller
-    // that has observed every future resolve also observes pending() == 0.
+    task->run();
+    // Leave the pending count before the completion runs, so a caller
+    // that has observed every completion also observes pending() == 0.
     {
       MutexLock lock(&mu_);
       --in_flight_;
     }
-    if (error) {
-      work->promise.set_exception(error);
-    } else {
-      work->promise.set_value(std::move(*response));
-    }
+    if (task->done) task->done();
   }
 }
 

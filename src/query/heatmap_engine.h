@@ -15,6 +15,12 @@
 // (O(1) in the circle count). Register once, then submit any number of
 // requests against the handle.
 //
+// The worker pool drains one FIFO queue of tasks (HeatmapEngine::Task: a
+// body plus a completion callback). Submit is one such task whose
+// completion fulfils a future; the socket server (serve/event_loop.h)
+// posts its cache misses, deltas and tile fragments as tasks whose
+// completion wakes its loop thread. There is no second pool.
+//
 // Two parallelism axes compose:
 //   * across requests — `num_threads` workers drain the shared queue;
 //   * within a request — `slabs_per_request > 1` sweeps each request with
@@ -40,6 +46,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -84,6 +91,17 @@ struct HeatmapRequestV2 {
   int height = 0;
 };
 
+/// A request whose circle set is already resolved and pinned: the snapshot
+/// lives as long as this struct does, whatever the registry releases or
+/// evicts meanwhile. The form a request takes in flight — a server
+/// resolves on its loop thread and hands this to a worker.
+struct PinnedHeatmapRequest {
+  std::shared_ptr<const CircleSetSnapshot> set;
+  Rect domain;
+  int width = 0;
+  int height = 0;
+};
+
 /// Aggregate counters of a SweepCache (also snapshotted onto every
 /// response served by a cache-enabled engine). Hits/misses/insertions/
 /// evictions are cumulative; entries/bytes describe the current contents.
@@ -96,7 +114,7 @@ struct SweepCacheStats {
   size_t bytes = 0;         ///< resident bytes (grids + keys)
 };
 
-/// Per-request accounting of one ExecuteTiled call: how each tile of the
+/// Per-request accounting of one ExecuteTiledChecked call: how each tile of the
 /// R x C grid was served. `background_tiles` covers tiles with an empty
 /// pixel window or no assigned circles (their pixels are pure background
 /// and need no sweep and no cache entry); the rest are fragments served
@@ -162,13 +180,27 @@ class HeatmapEngine {
   HeatmapEngine(const HeatmapEngine&) = delete;
   HeatmapEngine& operator=(const HeatmapEngine&) = delete;
 
-  /// Enqueues one request; callable concurrently from any thread. Invalid
-  /// requests (non-positive raster size, degenerate domain) and handles
-  /// that do not name a live set in `registry()` CHECK-fail here, at the
-  /// call site — resolve untrusted handles yourself first, or use
-  /// ExecuteChecked. The snapshot is pinned for the request's lifetime, so
-  /// a concurrent Release cannot unmap it mid-sweep. The future carries
-  /// the response or any exception thrown while serving.
+  /// One unit of pool work: `run` executes on a worker thread; `done`,
+  /// when set, runs on the same thread afterwards, once the task has left
+  /// pending() — so whoever `done` signals already sees the pool without
+  /// it. Neither may throw.
+  struct Task {
+    std::function<void()> run;
+    std::function<void()> done;
+  };
+
+  /// Queues `task` for the worker pool (FIFO); callable concurrently from
+  /// any thread. CHECK-fails on a stopping engine.
+  void Post(Task task) RNNHM_EXCLUDES(mu_);
+
+  /// Enqueues one request as a pool task; callable concurrently from any
+  /// thread. Invalid requests (non-positive raster size, degenerate
+  /// domain) and handles that do not name a live set in `registry()`
+  /// CHECK-fail here, at the call site — resolve untrusted handles
+  /// yourself first, or use ExecuteChecked. The snapshot is pinned for the
+  /// request's lifetime, so a concurrent Release cannot unmap it
+  /// mid-sweep. The future carries the response or any exception thrown
+  /// while serving.
   std::future<HeatmapResponse> Submit(const HeatmapRequestV2& request);
 
   /// Submits a whole batch and waits; responses are returned in request
@@ -186,25 +218,26 @@ class HeatmapEngine {
   /// region overlaps miss (their subset hash changed) and every other
   /// tile restitches from the cache, composing with the 2D dirty-rect
   /// machinery of the delta path at tile granularity. `tile_stats`, when
-  /// non-null, reports how each tile was served. CHECK-fails on invalid
-  /// geometry, an unregistered handle, or a tile grid side outside
+  /// non-null, reports how each tile was served. Status as
+  /// ExecuteChecked, plus kInvalidArgument for a tile grid side outside
   /// [1, kMaxTileGridSide].
-  HeatmapResponse ExecuteTiled(const HeatmapRequestV2& request, int tile_rows,
-                               int tile_cols,
-                               TiledServeStats* tile_stats = nullptr) const;
+  Status ExecuteTiledChecked(const HeatmapRequestV2& request, int tile_rows,
+                             int tile_cols,
+                             std::optional<HeatmapResponse>* response,
+                             TiledServeStats* tile_stats = nullptr) const;
 
   /// The serving-stack by-tile shard path: computes the single tile
   /// `tile_id` (row-major, in [0, tile_rows * tile_cols)) of the tiled
   /// decomposition of `request` and returns its *fragment* — a grid of
   /// the tile's window size whose cell (i, j) is global pixel
   /// (window.col_lo + i, window.row_lo + j). Fragments are memoized under
-  /// the same per-tile keys ExecuteTiled uses. Every failure is a Status:
-  /// kInvalidArgument for bad geometry, a bad tile grid (each side in
-  /// [1, kMaxTileGridSide]), a tile id outside the grid, or an empty tile
-  /// window (route only non-empty windows); kNotFound for an unresolved
-  /// handle; kInternal for a sweep that threw.
+  /// the same per-tile keys ExecuteTiledChecked uses. Every failure is a
+  /// Status: kInvalidArgument for bad geometry, a bad tile grid (each
+  /// side in [1, kMaxTileGridSide]), a tile id outside the grid, or an
+  /// empty tile window (route only non-empty windows); kNotFound for a
+  /// null snapshot; kInternal for a sweep that threw.
   Status ExecuteTileFragmentChecked(
-      const HeatmapRequestV2& request, int tile_rows, int tile_cols,
+      const PinnedHeatmapRequest& request, int tile_rows, int tile_cols,
       int tile_id, std::optional<HeatmapResponse>* response) const;
 
   /// Computes one request synchronously on the calling thread, bypassing
@@ -217,10 +250,21 @@ class HeatmapEngine {
   /// kInternal for a sweep that threw. `*response` is engaged only on ok
   /// (an optional because a HeatmapResponse has no empty state — its grid
   /// carries dimensions).
-  /// This is what a server facing untrusted requests calls (see
-  /// serve/wire_server.h).
   Status ExecuteChecked(const HeatmapRequestV2& request,
                         std::optional<HeatmapResponse>* response) const;
+
+  /// ExecuteChecked's two halves, for a server that answers cache hits on
+  /// its own thread and hands misses to the pool (serve/wire_server.h).
+  /// LookupChecked checks geometry and probes the cache: kOk with `*hit`
+  /// engaged on a hit, kOk with `*hit` empty on a miss or a cache-disabled
+  /// engine. SweepChecked serves the miss — sweep, then admit — without
+  /// probing again, so one LookupChecked plus one SweepChecked moves the
+  /// cache counters exactly as one ExecuteChecked does. A null snapshot
+  /// is kNotFound; a throwing sweep kInternal.
+  Status LookupChecked(const PinnedHeatmapRequest& request,
+                       std::optional<HeatmapResponse>* hit) const;
+  Status SweepChecked(const PinnedHeatmapRequest& request,
+                      std::optional<HeatmapResponse>* response) const;
 
   /// The serving-stack delta path (wire v4): derives a new registered set
   /// from `base` + `edits` via registry().ApplyDelta (the caller owns the
@@ -236,8 +280,9 @@ class HeatmapEngine {
   /// response; `*splice_stats`, when non-null, receives the splice pass
   /// counters (zeroed when the response was not spliced). Status mirrors
   /// ExecuteChecked plus ApplyDelta's kNotFound (base gone/evicted) and
-  /// kInvalidArgument (bad edit index, derived-hash mismatch); nothing is
-  /// registered on failure.
+  /// kInvalidArgument (bad edit index, derived-hash mismatch). Nothing is
+  /// registered when ApplyDelta fails; once it succeeded, `*derived` is
+  /// set even if serving then fails, so the caller can release it.
   Status ExecuteDeltaChecked(const CircleSetHandle& base,
                              std::span<const CircleSetEdit> edits,
                              std::optional<uint64_t> expected_hash,
@@ -255,30 +300,26 @@ class HeatmapEngine {
   /// Resolved worker count.
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Requests accepted but not yet finished.
+  /// Tasks (submitted requests included) accepted but not yet finished.
   size_t pending() const RNNHM_EXCLUDES(mu_);
 
   /// Current result-cache counters; all-zero when caching is disabled.
   SweepCacheStats cache_stats() const;
 
  private:
-  // The in-flight form of a request: a pinned immutable circle-set
-  // snapshot plus the raster geometry.
-  struct ResolvedRequest {
-    std::shared_ptr<const CircleSetSnapshot> set;
-    Rect domain;
-    int width = 0;
-    int height = 0;
-  };
-
   void WorkerLoop() RNNHM_EXCLUDES(mu_);
-  std::future<HeatmapResponse> Enqueue(ResolvedRequest request)
-      RNNHM_EXCLUDES(mu_);
-  ResolvedRequest Resolve(const HeatmapRequestV2& request) const;
-  // The shared serve path: cache probe keyed by the snapshot's content
-  // hash, sweep on a miss, admit sharing the snapshot.
-  HeatmapResponse Serve(const ResolvedRequest& request) const;
-  // The uncached sweep (cache miss path).
+  // Geometry check plus registry resolve; CHECK-fails (the Submit
+  // contract).
+  PinnedHeatmapRequest Pin(const HeatmapRequestV2& request) const;
+  // The shared serve path: Lookup, then SweepAndAdmit on a miss.
+  HeatmapResponse Serve(const PinnedHeatmapRequest& request) const;
+  // Cache probe keyed by the snapshot's content hash; nullopt on a miss
+  // or a cache-disabled engine.
+  std::optional<HeatmapResponse> Lookup(
+      const PinnedHeatmapRequest& request) const;
+  // The miss path: sweep, then admit sharing the snapshot.
+  HeatmapResponse SweepAndAdmit(const PinnedHeatmapRequest& request) const;
+  // The uncached sweep.
   HeatmapResponse Sweep(const std::vector<NnCircle>& circles, Metric metric,
                         const Rect& domain, int width, int height) const;
   // One tile's fragment: cache probe under the per-tile key (subset hash +
@@ -296,14 +337,9 @@ class HeatmapEngine {
   // cache may be consulted from the const Execute* paths.
   const std::unique_ptr<SweepCache> cache_;
 
-  struct PendingRequest {
-    ResolvedRequest request;
-    std::promise<HeatmapResponse> promise;
-  };
-
   mutable Mutex mu_;
   CondVar work_available_;
-  std::deque<PendingRequest> queue_ RNNHM_GUARDED_BY(mu_);
+  std::deque<Task> queue_ RNNHM_GUARDED_BY(mu_);
   // Queued + currently executing.
   size_t in_flight_ RNNHM_GUARDED_BY(mu_) = 0;
   bool stopping_ RNNHM_GUARDED_BY(mu_) = false;

@@ -51,14 +51,15 @@ struct SweepCacheOptions {
 /// The full cache key of one memoized response: the circle set by content
 /// hash (metric folded in by HashCircleSet) plus the raster geometry.
 ///
-/// Tiled serving (query/heatmap_engine.h ExecuteTiled) additionally keys
-/// each memoized *fragment* by its tile's pixel window inside the full
-/// raster: `set_hash` is then the hash of just the circles assigned to the
-/// tile, so an edit invalidates only the fragments whose tile the edited
-/// circle's influence region overlaps — every other tile's subset hashes
-/// unchanged and keeps hitting. Whole-raster entries leave the window
-/// fields at their zero defaults, so untiled keys compare and fingerprint
-/// exactly as before tiling existed.
+/// Tiled serving (query/heatmap_engine.h ExecuteTiledChecked)
+/// additionally keys each memoized *fragment* by its tile's pixel window
+/// inside the full raster: `set_hash` is then the hash of just the
+/// circles assigned to the tile, so an edit invalidates only the
+/// fragments whose tile the edited circle's influence region overlaps —
+/// every other tile's subset hashes unchanged and keeps hitting.
+/// Whole-raster entries leave the window fields at their zero defaults,
+/// so untiled keys compare and fingerprint exactly as before tiling
+/// existed.
 struct SweepCacheKey {
   uint64_t set_hash = 0;
   Rect domain;

@@ -174,10 +174,15 @@ Status Poller::Wait(int timeout_ms, std::vector<Event>* events) {
 // --- EventLoopServer ------------------------------------------------------
 
 struct EventLoopServer::Connection {
-  Connection(size_t max_payload, CircleSetRegistry* registry,
-             size_t max_conn_sets)
-      : assembler(max_payload), scope(registry, max_conn_sets) {}
+  Connection(uint64_t conn_id, int conn_fd, size_t max_payload,
+             CircleSetRegistry* registry, size_t max_conn_sets)
+      : id(conn_id),
+        fd(conn_fd),
+        assembler(max_payload),
+        scope(registry, max_conn_sets) {}
 
+  const uint64_t id;
+  int fd;  // -1 once the socket is closed while a job still runs
   FrameAssembler assembler;
   // Registrations this connection owns (inline sets, delta derivations);
   // released when the connection closes — the destructor runs as the
@@ -185,13 +190,14 @@ struct EventLoopServer::Connection {
   RegistrationScope scope;
   OutputBuffer output;
   std::chrono::steady_clock::time_point last_activity;
-  bool peer_done = false;         // read side saw EOF or poison
-  bool close_after_flush = false; // close once output drains
+  bool peer_done = false;  // read side saw EOF or poison: close once drained
+  bool busy = false;       // a job of this connection is on the pool
 };
 
 EventLoopServer::EventLoopServer(Listener listener, HeatmapEngine& engine,
                                  const ServeOptions& options)
     : listener_(std::move(listener)),
+      engine_(engine),
       wire_server_(engine),
       registry_(&engine.registry()),
       options_(options) {
@@ -204,13 +210,22 @@ EventLoopServer::EventLoopServer(Listener listener, HeatmapEngine& engine,
 }
 
 EventLoopServer::~EventLoopServer() {
-  for (auto& [fd, conn] : connections_) {
-    (void)conn;
-    ::close(fd);
+  // Run has returned (or never ran), so no job can still post here.
+  for (auto& [id, conn] : connections_) {
+    (void)id;
+    if (conn->fd >= 0) ::close(conn->fd);
   }
   connections_.clear();
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+}
+
+void EventLoopServer::Wake() {
+  if (wake_fds_[1] >= 0) {
+    const uint8_t byte = 1;
+    // Best effort: a full pipe already guarantees a pending wakeup.
+    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  }
 }
 
 void EventLoopServer::RequestShutdown() {
@@ -221,61 +236,120 @@ void EventLoopServer::RequestShutdown() {
   static_assert(std::atomic<int>::is_always_lock_free,
                 "RequestShutdown must stay async-signal-safe");
   shutdown_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (wake_fds_[1] >= 0) {
-    const uint8_t byte = 1;
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  Wake();
+}
+
+void EventLoopServer::PostCompletion(Completion completion) {
+  // Wake and notify under the lock: once the loop thread has taken this
+  // completion (under the same lock), this thread touches nothing of the
+  // server again, so Run may return and the server be destroyed.
+  MutexLock lock(&done_mu_);
+  completions_.push_back(std::move(completion));
+  Wake();
+  job_done_.NotifyOne();
+}
+
+void EventLoopServer::CloseConnection(Connection& conn) {
+  if (conn.fd >= 0) {
+    poller_.Remove(conn.fd);
+    ::close(conn.fd);
+    ids_by_fd_.erase(conn.fd);
+    conn.fd = -1;
   }
+  if (!conn.busy) connections_.erase(conn.id);
 }
 
-void EventLoopServer::CloseConnection(int fd) {
-  poller_.Remove(fd);
-  ::close(fd);
-  connections_.erase(fd);
-}
-
-void EventLoopServer::HandleReadable(int fd, Connection& conn) {
+void EventLoopServer::HandleReadable(Connection& conn) {
   uint8_t chunk[64 * 1024];
   for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.last_activity = std::chrono::steady_clock::now();
       conn.assembler.Feed(
           std::span<const uint8_t>(chunk, static_cast<size_t>(n)));
       continue;
     }
-    if (n == 0) {
-      // Peer finished sending; serve what we have, then close once the
-      // responses are flushed.
-      conn.peer_done = true;
-      conn.close_after_flush = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    // Hard connection error: drop it.
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // EOF: serve what we have, then close once the responses are flushed.
+    // A hard connection error ends the same way (the writes will fail).
     conn.peer_done = true;
-    conn.close_after_flush = true;
     break;
   }
-  while (std::optional<std::vector<uint8_t>> frame = conn.assembler.Next()) {
-    conn.output.AppendFrame(wire_server_.HandleFrame(*frame, &conn.scope));
+}
+
+void EventLoopServer::ServeFrames(Connection& conn) {
+  while (!conn.busy) {
+    std::optional<std::vector<uint8_t>> frame = conn.assembler.Next();
+    if (!frame.has_value()) break;
+    WireServer::Step step = wire_server_.StartFrame(*frame, &conn.scope);
+    if (step.job == nullptr) {
+      conn.output.AppendFrame(step.reply);
+      continue;
+    }
+    conn.busy = true;
+    ++jobs_in_flight_;
+    engine_.Post(HeatmapEngine::Task{
+        [this, job = step.job] { wire_server_.RunJob(*job); },
+        [this, completion = Completion{conn.id, step.job}] {
+          PostCompletion(completion);
+        }});
   }
-  if (conn.assembler.poisoned() && !conn.peer_done) {
-    // The framing is unrecoverable: answer with the protocol error and
-    // hang up after the reply drains.
+  if (!conn.busy && conn.assembler.poisoned() && !conn.peer_done) {
+    // The framing is unrecoverable: answer with the protocol error (after
+    // the replies to every frame before it) and hang up once it drains.
     const Status& status = conn.assembler.status();
     conn.output.AppendFrame(
         EncodeErrorResponse(ToWireStatus(status.code), status.message));
     conn.peer_done = true;
-    conn.close_after_flush = true;
   }
 }
 
-void EventLoopServer::UpdateInterest(int fd, Connection& conn) {
-  const bool want_read = !conn.peer_done;
-  const bool want_write = !conn.output.empty();
-  poller_.Modify(fd, want_read, want_write);
+void EventLoopServer::Settle(Connection& conn) {
+  if (!conn.output.empty()) {
+    const std::ptrdiff_t n = conn.output.WriteSome(conn.fd);
+    if (n < 0) {
+      CloseConnection(conn);
+      return;
+    }
+    if (n > 0) conn.last_activity = std::chrono::steady_clock::now();
+  }
+  if (conn.peer_done && !conn.busy && conn.output.empty()) {
+    CloseConnection(conn);
+    return;
+  }
+  poller_.Modify(conn.fd, !conn.peer_done && !conn.busy,
+                 !conn.output.empty());
+}
+
+void EventLoopServer::FinishJobs(bool wait_all) {
+  std::deque<Completion> done;
+  {
+    MutexLock lock(&done_mu_);
+    while (wait_all && completions_.size() < jobs_in_flight_) {
+      job_done_.Wait(done_mu_);
+    }
+    done.swap(completions_);
+  }
+  for (Completion& completion : done) {
+    --jobs_in_flight_;
+    const auto it = connections_.find(completion.conn_id);
+    Connection& conn = *it->second;
+    conn.busy = false;
+    const std::vector<uint8_t> reply =
+        wire_server_.FinishJob(*completion.job, &conn.scope);
+    if (conn.fd < 0) {
+      // The peer left while the job ran: the scope releases everything
+      // now, a delta's derived set included.
+      connections_.erase(it);
+      continue;
+    }
+    if (wait_all) continue;  // shutting down: no new jobs, no writes
+    conn.output.AppendFrame(reply);
+    conn.last_activity = std::chrono::steady_clock::now();
+    ServeFrames(conn);
+    Settle(conn);
+  }
 }
 
 Status EventLoopServer::Run() {
@@ -301,14 +375,23 @@ Status EventLoopServer::Run() {
       !status.ok()) {
     return status;
   }
+  const Status status = Loop();
+  // Jobs still on the pool post their completion here: finish every one
+  // before closing what is left (hard stop, drain bound or loop failure).
+  FinishJobs(/*wait_all=*/true);
+  while (!connections_.empty()) CloseConnection(*connections_.begin()->second);
+  listener_.Close();
+  return status;
+}
 
+Status EventLoopServer::Loop() {
   const auto idle_limit = std::chrono::milliseconds(options_.idle_timeout_ms);
   std::vector<Poller::Event> events;
   for (;;) {
     // Shutdown bookkeeping first, so a request observed between waits is
     // honored before blocking again.
     const int requests = shutdown_requests_.load(std::memory_order_relaxed);
-    if (requests >= 2) break;  // hard stop
+    if (requests >= 2) return Status::Ok();  // hard stop
     if (requests >= 1 && !draining_) {
       draining_ = true;
       poller_.Remove(listener_.fd());
@@ -316,7 +399,8 @@ Status EventLoopServer::Run() {
       drain_deadline_ = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.drain_timeout_ms);
     }
-    if (draining_ && connections_.empty()) break;  // clean drain
+    // Clean drain: busy connections stay in the map until their job ends.
+    if (draining_ && connections_.empty()) return Status::Ok();
 
     // The wait bound: the nearest of the drain deadline and any idle
     // deadline; -1 (forever) when neither applies.
@@ -333,13 +417,13 @@ Status EventLoopServer::Run() {
       if (timeout_ms < 0 || ms < timeout_ms) timeout_ms = ms;
     };
     if (draining_) {
-      if (now >= drain_deadline_) break;  // drain bound elapsed
+      if (now >= drain_deadline_) return Status::Ok();  // drain bound
       bound_timeout(drain_deadline_);
     }
     if (options_.idle_timeout_ms > 0) {
-      for (const auto& [fd, conn] : connections_) {
-        (void)fd;
-        bound_timeout(conn->last_activity + idle_limit);
+      for (const auto& [id, conn] : connections_) {
+        (void)id;
+        if (!conn->busy) bound_timeout(conn->last_activity + idle_limit);
       }
     }
 
@@ -353,7 +437,9 @@ Status EventLoopServer::Run() {
         uint8_t drain[64];
         while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
         }
-        continue;  // counters are re-read at the top of the loop
+        // Shutdown counters are re-read at the top of the loop.
+        FinishJobs(/*wait_all=*/false);
+        continue;
       }
       if (event.fd == listener_.fd() && listener_.valid()) {
         for (;;) {
@@ -366,69 +452,47 @@ Status EventLoopServer::Run() {
             ::close(client_fd);
             continue;
           }
-          auto conn = std::make_unique<Connection>(
-              kMaxFramePayloadBytes, registry_, options_.max_conn_sets);
-          conn->last_activity = std::chrono::steady_clock::now();
           if (!poller_.Add(client_fd, true, false).ok()) {
             ::close(client_fd);
             continue;
           }
-          connections_.emplace(client_fd, std::move(conn));
+          const uint64_t id = next_conn_id_++;
+          auto conn = std::make_unique<Connection>(
+              id, client_fd, kMaxFramePayloadBytes, registry_,
+              options_.max_conn_sets);
+          conn->last_activity = std::chrono::steady_clock::now();
+          connections_.emplace(id, std::move(conn));
+          ids_by_fd_.emplace(client_fd, id);
         }
         continue;
       }
-      auto it = connections_.find(event.fd);
-      if (it == connections_.end()) continue;
-      Connection& conn = *it->second;
-      if (event.readable || event.broken) {
-        HandleReadable(event.fd, conn);
-      }
-      if (event.writable && !conn.output.empty()) {
-        if (conn.output.WriteSome(event.fd) < 0) {
-          CloseConnection(event.fd);
-          continue;
-        }
-        conn.last_activity = std::chrono::steady_clock::now();
-      } else if (!conn.output.empty()) {
-        // Fresh responses queued by this read: try an optimistic write
-        // now instead of waiting one poll cycle.
-        if (conn.output.WriteSome(event.fd) < 0) {
-          CloseConnection(event.fd);
-          continue;
-        }
-      }
-      if (conn.output.empty() && conn.close_after_flush) {
-        CloseConnection(event.fd);
+      const auto id = ids_by_fd_.find(event.fd);
+      if (id == ids_by_fd_.end()) continue;
+      Connection& conn = *connections_.at(id->second);
+      if (event.readable || event.broken) HandleReadable(conn);
+      if (event.broken && conn.busy) {
+        // Hung up mid-job: nothing can be delivered, and a broken fd would
+        // keep reporting. Close it; the state waits for the completion.
+        CloseConnection(conn);
         continue;
       }
-      if (conn.peer_done && conn.output.empty()) {
-        CloseConnection(event.fd);
-        continue;
-      }
-      UpdateInterest(event.fd, conn);
+      ServeFrames(conn);
+      Settle(conn);
     }
 
-    // Idle sweep.
+    // Idle sweep; a busy connection is waiting on the server, not idle.
     if (options_.idle_timeout_ms > 0) {
       const auto cutoff = std::chrono::steady_clock::now() - idle_limit;
-      std::vector<int> stale;
-      for (const auto& [fd, conn] : connections_) {
-        if (conn->last_activity <= cutoff) stale.push_back(fd);
+      std::vector<Connection*> stale;
+      for (const auto& [id, conn] : connections_) {
+        (void)id;
+        if (!conn->busy && conn->last_activity <= cutoff) {
+          stale.push_back(conn.get());
+        }
       }
-      for (const int fd : stale) CloseConnection(fd);
+      for (Connection* conn : stale) CloseConnection(*conn);
     }
   }
-
-  // Loop exit: close whatever is left (hard stop or drain bound).
-  std::vector<int> open;
-  open.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) {
-    (void)conn;
-    open.push_back(fd);
-  }
-  for (const int fd : open) CloseConnection(fd);
-  listener_.Close();
-  return Status::Ok();
 }
 
 // --- Signal wiring --------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "serve/wire_server.h"
 
+#include <exception>
 #include <optional>
 #include <utility>
 
@@ -7,19 +8,47 @@
 
 namespace rnnhm {
 
+struct WireServer::Job {
+  enum class Kind { kStats, kPlain, kDelta, kTile };
+
+  Kind kind = Kind::kPlain;
+  // The set (a delta's base) pinned with the frame's geometry. A delta
+  // still names its base to ApplyDelta by handle, so a base evicted
+  // before the job runs answers kNotFound, as a later frame would.
+  PinnedHeatmapRequest request;
+  CircleSetHandle base;
+  std::vector<CircleSetEdit> edits;
+  uint64_t new_hash = 0;
+  int tile_rows = 1;
+  int tile_cols = 1;
+  int tile_id = 0;
+
+  // The outcome: `reply` holds the encoded response when `status` is ok.
+  Status status;
+  std::vector<uint8_t> reply;
+  CircleSetHandle derived;
+  bool spliced = false;
+  uint64_t dirty_columns = 0;
+};
+
 std::vector<uint8_t> WireServer::HandleFrame(std::span<const uint8_t> frame,
                                              RegistrationScope* scope) {
-  ++counters_.requests;
-  Status status;
-  std::optional<HeatmapResponse> response;
+  Step step = StartFrame(frame, scope);
+  if (step.job == nullptr) return std::move(step.reply);
+  RunJob(*step.job);
+  return FinishJob(*step.job, scope);
+}
+
+WireServer::Step WireServer::StartFrame(std::span<const uint8_t> frame,
+                                        RegistrationScope* scope) {
+  auto job = std::make_shared<Job>();
+  Status& status = job->status;
   CircleSetHandle handle;
   if (IsStatsRequest(frame)) {
+    job->kind = Job::Kind::kStats;
     status = DecodeStatsRequest(frame);
-    if (status.ok()) {
-      ++counters_.ok;  // the reply counts this very request as served
-      return EncodeStatsResponse(stats());
-    }
   } else if (IsDeltaRequest(frame)) {
+    job->kind = Job::Kind::kDelta;
     std::optional<WireDeltaRequest> request =
         DecodeDeltaRequest(frame, &status);
     if (request.has_value()) {
@@ -27,63 +56,103 @@ std::vector<uint8_t> WireServer::HandleFrame(std::span<const uint8_t> frame,
       WireRequest base{request->metric, request->base_hash, false,
                        {},              request->domain,    request->width,
                        request->height};
-      status = ResolveSet(base, /*delta_base=*/true, scope, &handle);
+      status = ResolveSet(base, /*delta_base=*/true, scope, &job->base,
+                          &job->request);
+      job->edits = std::move(request->edits);
+      job->new_hash = request->new_hash;
     }
-    if (status.ok()) {
-      CircleSetHandle derived;
-      bool spliced = false;
-      IncrementalRasterStats splice_stats;
-      status = engine_.ExecuteDeltaChecked(
-          handle, request->edits, request->new_hash, request->domain,
-          request->width, request->height, &derived, &response, &spliced,
-          &splice_stats);
-      if (status.ok()) {
-        if (scope != nullptr) scope->Track(derived);
-        ++counters_.deltas;
-        if (spliced) {
-          ++counters_.delta_splices;
-          counters_.delta_dirty_columns +=
-              static_cast<uint64_t>(splice_stats.dirty_columns);
-        }
-      }
-    }
+    if (status.ok()) return Step{{}, std::move(job)};
   } else if (IsTileRequest(frame)) {
-    ++counters_.tile_requests;
+    job->kind = Job::Kind::kTile;
     std::optional<WireTileRequest> request = DecodeTileRequest(frame, &status);
     if (request.has_value()) {
-      status = ResolveSet(*request, /*delta_base=*/false, scope, &handle);
+      status = ResolveSet(*request, /*delta_base=*/false, scope, &handle,
+                          &job->request);
+      job->tile_rows = request->tile_rows;
+      job->tile_cols = request->tile_cols;
+      job->tile_id = request->tile_id;
     }
-    if (status.ok()) {
-      status = engine_.ExecuteTileFragmentChecked(
-          HeatmapRequestV2{handle, request->domain, request->width,
-                           request->height},
-          request->tile_rows, request->tile_cols, request->tile_id,
-          &response);
-      if (status.ok()) ++counters_.tile_fragments;
-    }
+    if (status.ok()) return Step{{}, std::move(job)};
   } else {
     std::optional<WireRequest> request = DecodeRequest(frame, &status);
     if (request.has_value()) {
-      status = ResolveSet(*request, /*delta_base=*/false, scope, &handle);
+      status = ResolveSet(*request, /*delta_base=*/false, scope, &handle,
+                          &job->request);
     }
-    if (status.ok()) {
-      status = engine_.ExecuteChecked(
-          HeatmapRequestV2{handle, request->domain, request->width,
-                           request->height},
-          &response);
-    }
+    std::optional<HeatmapResponse> hit;
+    if (status.ok()) status = engine_.LookupChecked(job->request, &hit);
+    if (status.ok() && !hit.has_value()) return Step{{}, std::move(job)};
+    if (hit.has_value()) job->reply = EncodeResponse(*hit);
   }
-  if (!status.ok()) {
+  return Step{FinishJob(*job, scope), nullptr};
+}
+
+void WireServer::RunJob(Job& job) const {
+  std::optional<HeatmapResponse> response;
+  switch (job.kind) {
+    case Job::Kind::kStats:
+      return;  // answered by StartFrame
+    case Job::Kind::kPlain:
+      job.status = engine_.SweepChecked(job.request, &response);
+      break;
+    case Job::Kind::kDelta: {
+      IncrementalRasterStats splice_stats;
+      job.status = engine_.ExecuteDeltaChecked(
+          job.base, job.edits, job.new_hash, job.request.domain,
+          job.request.width, job.request.height, &job.derived, &response,
+          &job.spliced, &splice_stats);
+      job.dirty_columns = static_cast<uint64_t>(splice_stats.dirty_columns);
+      break;
+    }
+    case Job::Kind::kTile:
+      job.status = engine_.ExecuteTileFragmentChecked(
+          job.request, job.tile_rows, job.tile_cols, job.tile_id, &response);
+      break;
+  }
+  if (!job.status.ok()) return;
+  try {
+    job.reply = EncodeResponse(*response);
+  } catch (const std::exception& e) {  // e.g. no memory for a huge grid
+    job.status = Status::Internal(e.what());
+  }
+}
+
+std::vector<uint8_t> WireServer::FinishJob(Job& job,
+                                           RegistrationScope* scope) {
+  ++counters_.requests;
+  if (job.kind == Job::Kind::kTile) ++counters_.tile_requests;
+  // A derived set is registered even when serving it failed afterwards;
+  // the scope releases it either way.
+  if (job.derived.valid() && scope != nullptr) scope->Track(job.derived);
+  if (!job.status.ok()) {
     ++counters_.errors;
-    return EncodeErrorResponse(ToWireStatus(status.code), status.message);
+    return EncodeErrorResponse(ToWireStatus(job.status.code),
+                               job.status.message);
   }
   ++counters_.ok;
-  return EncodeResponse(*response);
+  switch (job.kind) {
+    case Job::Kind::kStats:
+      return EncodeStatsResponse(stats());  // counts this very request
+    case Job::Kind::kDelta:
+      ++counters_.deltas;
+      if (job.spliced) {
+        ++counters_.delta_splices;
+        counters_.delta_dirty_columns += job.dirty_columns;
+      }
+      break;
+    case Job::Kind::kTile:
+      ++counters_.tile_fragments;
+      break;
+    case Job::Kind::kPlain:
+      break;
+  }
+  return std::move(job.reply);
 }
 
 Status WireServer::ResolveSet(WireRequest& request, bool delta_base,
                               RegistrationScope* scope,
-                              CircleSetHandle* handle) {
+                              CircleSetHandle* handle,
+                              PinnedHeatmapRequest* pinned) {
   if (static_cast<uint64_t>(request.width) *
           static_cast<uint64_t>(request.height) >
       kMaxWirePixels) {
@@ -98,7 +167,7 @@ Status WireServer::ResolveSet(WireRequest& request, bool delta_base,
   } else {
     *handle = registry.FindByHash(request.set_hash);
   }
-  const std::shared_ptr<const CircleSetSnapshot> set =
+  std::shared_ptr<const CircleSetSnapshot> set =
       handle->valid() ? registry.Resolve(*handle) : nullptr;
   // The bucket matched but the content does not hash to the asked-for
   // value: a 64-bit collision resolved a different set. Refusing is the
@@ -125,6 +194,8 @@ Status WireServer::ResolveSet(WireRequest& request, bool delta_base,
         delta_base ? "delta metric disagrees with the registered base"
                    : "request metric disagrees with the registered set");
   }
+  *pinned = PinnedHeatmapRequest{std::move(set), request.domain,
+                                 request.width, request.height};
   return Status::Ok();
 }
 

@@ -1,20 +1,29 @@
 // Serving transport tests: frame reassembly under arbitrary delivery
 // splits, the WireServer byte-stream surface, and the nonblocking socket
 // event loop (both pollers, both socket transports) — connection limits,
-// idle timeouts, slow-reader backpressure, graceful shutdown.
+// idle timeouts, slow-reader backpressure, graceful shutdown, and sweeps
+// on the engine pool while the loop thread keeps answering.
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/influence_measure.h"
 #include "heatmap/influence.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
@@ -50,6 +59,19 @@ std::vector<uint8_t> Framed(const std::vector<uint8_t>& payload) {
   }
   bytes.insert(bytes.end(), payload.begin(), payload.end());
   return bytes;
+}
+
+// The served grid of `set` from a plain size-measure engine.
+std::vector<double> ReferenceValues(const CircleSetSnapshot& set, int size) {
+  SizeInfluence measure;
+  HeatmapEngineOptions engine_options;
+  engine_options.num_threads = 1;
+  HeatmapEngine reference(measure, engine_options);
+  const CircleSetHandle handle =
+      reference.registry().Register(set.circles(), set.metric());
+  return reference.Submit(HeatmapRequestV2{handle, kDomain, size, size})
+      .get()
+      .grid.values();
 }
 
 // --- FrameAssembler -------------------------------------------------------
@@ -166,15 +188,21 @@ TEST(WireServerStreamTest, TruncatedStreamReportsDataLoss) {
 
 // --- Socket event loop ----------------------------------------------------
 
-// An EventLoopServer on its own thread over a fresh single-worker engine.
+// An EventLoopServer on its own thread over a fresh single-worker engine
+// (SizeInfluence unless `measure` is given; no result cache unless
+// `cache_bytes` is nonzero).
 class TestServer {
  public:
-  Status Start(TransportKind transport, const ServeOptions& base) {
+  Status Start(TransportKind transport, const ServeOptions& base,
+               const InfluenceMeasure* measure = nullptr,
+               size_t cache_bytes = 0) {
     options_ = base;
     options_.transport = transport;
     HeatmapEngineOptions engine_options;
     engine_options.num_threads = 1;
-    engine_ = std::make_unique<HeatmapEngine>(measure_, engine_options);
+    engine_options.cache_bytes = cache_bytes;
+    engine_ = std::make_unique<HeatmapEngine>(
+        measure != nullptr ? *measure : measure_, engine_options);
     Listener listener;
     Status status;
     if (transport == TransportKind::kTcp) {
@@ -192,10 +220,17 @@ class TestServer {
     return Status::Ok();
   }
 
+  // Connects a blocking client. A reply that never comes fails the test
+  // instead of hanging it; no passing run waits anywhere near the bound.
   Status Connect(int* fd) const {
-    return options_.transport == TransportKind::kTcp
-               ? ConnectTcp("127.0.0.1", port_, fd)
-               : ConnectUnix(path_, fd);
+    const Status status = options_.transport == TransportKind::kTcp
+                              ? ConnectTcp("127.0.0.1", port_, fd)
+                              : ConnectUnix(path_, fd);
+    if (status.ok()) {
+      timeval guard{60, 0};
+      ::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &guard, sizeof(guard));
+    }
+    return status;
   }
 
   // First shutdown request: lame-duck drain.
@@ -203,6 +238,11 @@ class TestServer {
 
   Status Stop() {
     server_->RequestShutdown();
+    return Join();
+  }
+
+  // Waits for Run to return on its own (a drain that completes).
+  Status Join() {
     thread_.join();
     return result_;
   }
@@ -270,15 +310,7 @@ TEST(EventLoopServerTest, RoundTripsOnEveryTransportAndPoller) {
         ASSERT_TRUE(decoded.has_value()) << error;
         ASSERT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
         // Bit-identical to a direct engine execute over the same set.
-        SizeInfluence measure;
-        HeatmapEngineOptions engine_options;
-        engine_options.num_threads = 1;
-        HeatmapEngine reference(measure, engine_options);
-        const CircleSetHandle handle =
-            reference.registry().Register(set->circles(), set->metric());
-        const HeatmapResponse expected =
-            reference.Submit(HeatmapRequestV2{handle, kDomain, 24, 24}).get();
-        EXPECT_EQ(decoded->response->grid.values(), expected.grid.values());
+        EXPECT_EQ(decoded->response->grid.values(), ReferenceValues(*set, 24));
       }
       ::close(fd);
       EXPECT_TRUE(server.Stop().ok());
@@ -515,6 +547,290 @@ TEST(EventLoopServerTest, GracefulShutdownDrainsInFlightConnections) {
   }
   ::close(fd);  // lets the drain finish
   EXPECT_TRUE(server.Stop().ok());
+}
+
+// --- Sweeps on the engine pool ---------------------------------------------
+
+// A size measure whose Evaluate blocks while the gate is armed: the test
+// holds a sweep on the engine's worker for exactly as long as it needs,
+// with no sleeps. Every sweep evaluates the empty set first (the grid
+// background), so a held sweep is held before it paints anything.
+class GatedInfluence : public InfluenceMeasure {
+ public:
+  double Evaluate(std::span<const int32_t> clients) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (armed_) {
+      ++held_;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return !armed_; });
+    }
+    return static_cast<double>(clients.size());
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    held_ = 0;
+  }
+
+  // True once a sweep is held at the gate. The bound only turns a broken
+  // server into a failure instead of a hang; no passing run comes near it.
+  bool WaitUntilHeld() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return changed_.wait_for(lock, std::chrono::seconds(60),
+                             [this] { return held_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    changed_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable changed_;
+  bool armed_ = false;
+  mutable int held_ = 0;
+};
+
+// Receives one frame and decodes it as a heat-map response.
+std::optional<WireResponse> RecvResponse(int fd) {
+  std::vector<uint8_t> reply;
+  if (!RecvFrame(fd, &reply).ok()) return std::nullopt;
+  std::string error;
+  return DecodeResponse(reply, &error);
+}
+
+WireStatsReply QueryStats(int fd) {
+  std::vector<uint8_t> reply;
+  EXPECT_TRUE(RoundTrip(fd, EncodeStatsRequest(), &reply).ok());
+  std::string error;
+  const std::optional<WireStatsReply> stats =
+      DecodeStatsResponse(reply, &error);
+  EXPECT_TRUE(stats.has_value()) << error;
+  return stats.value_or(WireStatsReply{});
+}
+
+TEST(EventLoopJobTest, HitIsAnsweredWhileAnotherConnectionsSweepIsHeld) {
+  const auto hot = CircleSetSnapshot::Make(MakeCircles(20, 20), Metric::kLInf);
+  const auto cold = CircleSetSnapshot::Make(MakeCircles(21, 30), Metric::kL2);
+  GatedInfluence gate;
+  TestServer server;
+  ASSERT_TRUE(
+      server.Start(TransportKind::kTcp, FastOptions(), &gate, 16 << 20).ok());
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(server.Connect(&a).ok());
+  ASSERT_TRUE(server.Connect(&b).ok());
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(
+      RoundTrip(b, EncodeRequest(MakeWireRequest(*hot, kDomain, 24, 24, true)),
+                &reply)
+          .ok());
+
+  gate.Arm();
+  ASSERT_TRUE(
+      SendFrame(a, EncodeRequest(MakeWireRequest(*cold, kDomain, 24, 24, true)))
+          .ok());
+  ASSERT_TRUE(gate.WaitUntilHeld());
+  // A's cold sweep is held on the worker; B's by-hash hit comes back now.
+  ASSERT_TRUE(
+      RoundTrip(b, EncodeRequest(MakeWireRequest(*hot, kDomain, 24, 24, false)),
+                &reply)
+          .ok());
+  std::string error;
+  const auto hit = DecodeResponse(reply, &error);
+  ASSERT_TRUE(hit.has_value()) << error;
+  ASSERT_EQ(hit->status, WireStatus::kOk) << hit->error;
+  EXPECT_TRUE(hit->response->from_cache);
+  EXPECT_EQ(hit->response->grid.values(), ReferenceValues(*hot, 24));
+
+  gate.Release();
+  const auto swept = RecvResponse(a);
+  ASSERT_TRUE(swept.has_value());
+  ASSERT_EQ(swept->status, WireStatus::kOk) << swept->error;
+  EXPECT_FALSE(swept->response->from_cache);
+  EXPECT_EQ(swept->response->grid.values(), ReferenceValues(*cold, 24));
+  ::close(a);
+  ::close(b);
+  EXPECT_TRUE(server.Stop().ok());
+  EXPECT_EQ(server.server().stats().requests, 3u);
+  EXPECT_EQ(server.server().stats().ok, 3u);
+  EXPECT_EQ(server.server().stats().errors, 0u);
+}
+
+TEST(EventLoopJobTest, PipelinedFramesOnOneConnectionComeBackInOrder) {
+  const auto hot = CircleSetSnapshot::Make(MakeCircles(22, 20), Metric::kLInf);
+  const auto cold = CircleSetSnapshot::Make(MakeCircles(23, 25), Metric::kL2);
+  GatedInfluence gate;
+  TestServer server;
+  ASSERT_TRUE(
+      server.Start(TransportKind::kUnix, FastOptions(), &gate, 16 << 20).ok());
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(server.Connect(&a).ok());
+  ASSERT_TRUE(server.Connect(&b).ok());
+  std::vector<uint8_t> reply;
+  for (const int size : {16, 20}) {  // warm both hits
+    ASSERT_TRUE(RoundTrip(a,
+                          EncodeRequest(MakeWireRequest(*hot, kDomain, size,
+                                                        size, size == 16)),
+                          &reply)
+                    .ok());
+  }
+
+  gate.Arm();
+  // hit, cold, hit — in one write.
+  std::vector<uint8_t> burst;
+  for (const auto& payload :
+       {EncodeRequest(MakeWireRequest(*hot, kDomain, 16, 16, false)),
+        EncodeRequest(MakeWireRequest(*cold, kDomain, 24, 24, true)),
+        EncodeRequest(MakeWireRequest(*hot, kDomain, 20, 20, false))}) {
+    const auto framed = Framed(payload);
+    burst.insert(burst.end(), framed.begin(), framed.end());
+  }
+  ASSERT_TRUE(SendAll(a, burst).ok());
+  ASSERT_TRUE(gate.WaitUntilHeld());
+  const auto first = RecvResponse(a);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->status, WireStatus::kOk);
+  EXPECT_EQ(first->response->grid.width(), 16);
+  EXPECT_TRUE(first->response->from_cache);
+  // The second hit waits behind the held sweep: the server has answered
+  // the two warm-ups and the first hit, and now this stats request.
+  EXPECT_EQ(QueryStats(b).requests, 4u);
+
+  gate.Release();
+  const auto second = RecvResponse(a);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_EQ(second->status, WireStatus::kOk);
+  EXPECT_EQ(second->response->grid.width(), 24);
+  EXPECT_FALSE(second->response->from_cache);
+  EXPECT_EQ(second->response->grid.values(), ReferenceValues(*cold, 24));
+  const auto third = RecvResponse(a);
+  ASSERT_TRUE(third.has_value());
+  ASSERT_EQ(third->status, WireStatus::kOk);
+  EXPECT_EQ(third->response->grid.width(), 20);
+  EXPECT_TRUE(third->response->from_cache);
+
+  const WireStatsReply stats = QueryStats(b);
+  EXPECT_EQ(stats.requests, 7u);
+  EXPECT_EQ(stats.ok, 7u);
+  EXPECT_EQ(stats.errors, 0u);
+  ::close(a);
+  ::close(b);
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+// A peer that hangs up while its job is held keeps its connection state
+// until the job completes; then its scope releases every registration it
+// owned — for a delta, the derived set the job registered too.
+TEST(EventLoopJobTest, DisconnectDuringAHeldJobReleasesItsRegistrations) {
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta" : "plain");
+    const std::vector<NnCircle> circles = MakeCircles(24, 20);
+    const auto base = CircleSetSnapshot::Make(circles, Metric::kLInf);
+    GatedInfluence gate;
+    TestServer server;
+    // Unix sockets: the hangup is in the server's socket the moment
+    // close() returns, so finishing the job finds the peer gone.
+    ASSERT_TRUE(
+        server.Start(TransportKind::kUnix, FastOptions(), &gate, 16 << 20)
+            .ok());
+    CircleSetRegistry& registry = server.engine().registry();
+    const auto barrier_set =
+        CircleSetSnapshot::Make(MakeCircles(25, 10), Metric::kLInf);
+    registry.Register(barrier_set->circles(), barrier_set->metric());
+    const size_t baseline = registry.size();
+
+    int a = -1;
+    ASSERT_TRUE(server.Connect(&a).ok());
+    std::vector<uint8_t> frame;
+    if (delta) {
+      std::vector<uint8_t> reply;
+      ASSERT_TRUE(RoundTrip(a,
+                            EncodeRequest(MakeWireRequest(*base, kDomain, 12,
+                                                          12, true)),
+                            &reply)
+                      .ok());
+      NnCircle moved = circles[0];
+      moved.center.x += 0.01;
+      std::vector<NnCircle> derived = circles;
+      derived[0] = moved;
+      WireDeltaRequest request;
+      request.metric = Metric::kLInf;
+      request.base_hash = base->content_hash();
+      request.new_hash = HashCircleSet(derived, Metric::kLInf);
+      request.edits = {CircleSetEdit{CircleSetEdit::Kind::kReplace, 0, moved}};
+      request.domain = kDomain;
+      request.width = 18;  // not the base's raster: a full sweep
+      request.height = 18;
+      frame = EncodeDeltaRequest(request);
+    } else {
+      frame = EncodeRequest(MakeWireRequest(*base, kDomain, 18, 18, true));
+    }
+    gate.Arm();
+    ASSERT_TRUE(SendFrame(a, frame).ok());
+    ASSERT_TRUE(gate.WaitUntilHeld());
+    // Held: the inline set (plain) or the base plus the derived set
+    // (delta) are pinned by A's scope.
+    EXPECT_EQ(registry.size(), baseline + (delta ? 2 : 1));
+    ::close(a);
+    gate.Release();
+    // Barrier: B's by-hash miss is a job queued behind A's on the single
+    // worker, so its reply leaves after A's completion was finished.
+    int b = -1;
+    ASSERT_TRUE(server.Connect(&b).ok());
+    std::vector<uint8_t> reply;
+    ASSERT_TRUE(RoundTrip(b,
+                          EncodeRequest(MakeWireRequest(*barrier_set, kDomain,
+                                                        14, 14, false)),
+                          &reply)
+                    .ok());
+    std::string error;
+    const auto decoded = DecodeResponse(reply, &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_EQ(decoded->status, WireStatus::kOk) << decoded->error;
+    EXPECT_EQ(registry.size(), baseline);
+    ::close(b);
+    EXPECT_TRUE(server.Stop().ok());
+    const WireStatsReply stats = server.server().stats();
+    EXPECT_EQ(stats.requests, delta ? 3u : 2u);
+    EXPECT_EQ(stats.ok, delta ? 3u : 2u);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(stats.deltas, delta ? 1u : 0u);
+  }
+}
+
+TEST(EventLoopJobTest, SigtermDrainDeliversTheHeldReplyThenStops) {
+  const auto cold = CircleSetSnapshot::Make(MakeCircles(26, 25), Metric::kL2);
+  GatedInfluence gate;
+  ServeOptions options = FastOptions();
+  options.drain_timeout_ms = 60000;  // the held job decides, not the clock
+  TestServer server;
+  ASSERT_TRUE(server.Start(TransportKind::kUnix, options, &gate).ok());
+  InstallShutdownSignalHandlers(&server.server());
+  int a = -1;
+  ASSERT_TRUE(server.Connect(&a).ok());
+  gate.Arm();
+  ASSERT_TRUE(
+      SendFrame(a, EncodeRequest(MakeWireRequest(*cold, kDomain, 20, 20, true)))
+          .ok());
+  ASSERT_TRUE(gate.WaitUntilHeld());
+  ASSERT_EQ(::raise(SIGTERM), 0);  // lame duck: the listener closes
+  gate.Release();
+  const auto reply = RecvResponse(a);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->status, WireStatus::kOk) << reply->error;
+  EXPECT_EQ(reply->response->grid.values(), ReferenceValues(*cold, 20));
+  ::close(a);
+  // The last connection gone, the drain completes without a second
+  // request.
+  EXPECT_TRUE(server.Join().ok());
+  InstallShutdownSignalHandlers(nullptr);
+  EXPECT_EQ(server.server().stats().requests, 1u);
+  EXPECT_EQ(server.server().stats().ok, 1u);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 // re-run with RNNHM_DISABLE_SIMD=1.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "heatmap/heatmap.h"
 #include "heatmap/influence.h"
 #include "query/heatmap_engine.h"
@@ -205,9 +207,20 @@ TEST(TileDifferentialTest, FragmentStitchMatches) {
   }
 }
 
-// HeatmapEngine::ExecuteTiled serves the same bits as the untiled engine
-// path for every metric and tile grid, and a repeat request restitches
-// entirely from the per-tile fragment cache.
+// HeatmapEngine::ExecuteTiledChecked, which must succeed here.
+HeatmapResponse Tiled(const HeatmapEngine& engine,
+                      const HeatmapRequestV2& request, int rows, int cols,
+                      TiledServeStats* stats) {
+  std::optional<HeatmapResponse> response;
+  const Status status =
+      engine.ExecuteTiledChecked(request, rows, cols, &response, stats);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return std::move(response.value());
+}
+
+// HeatmapEngine::ExecuteTiledChecked serves the same bits as the untiled
+// engine path for every metric and tile grid, and a repeat request
+// restitches entirely from the per-tile fragment cache.
 TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
   SizeInfluence measure;
   HeatmapEngineOptions options;
@@ -224,14 +237,14 @@ TEST(TileDifferentialTest, EngineTiledMatchesExecute) {
     for (const TileGrid& g : kTileGrids) {
       TiledServeStats first_stats;
       const HeatmapResponse tiled =
-          engine.ExecuteTiled(request, g.rows, g.cols, &first_stats);
+          Tiled(engine, request, g.rows, g.cols, &first_stats);
       EXPECT_EQ(reference.grid.values(), tiled.grid.values())
           << CaseName(metric, g, 2);
       EXPECT_EQ(first_stats.tiles, g.rows * g.cols);
       // Same request again: every fragment must come back from the cache.
       TiledServeStats repeat_stats;
       const HeatmapResponse repeat =
-          engine.ExecuteTiled(request, g.rows, g.cols, &repeat_stats);
+          Tiled(engine, request, g.rows, g.cols, &repeat_stats);
       EXPECT_EQ(reference.grid.values(), repeat.grid.values());
       EXPECT_TRUE(repeat.from_cache) << CaseName(metric, g, 2);
       EXPECT_EQ(repeat_stats.swept_tiles, 0) << CaseName(metric, g, 2);
@@ -259,7 +272,7 @@ TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
       engine.registry().Register(circles, Metric::kLInf);
   const HeatmapRequestV2 request{base, domain, 48, 48};
   TiledServeStats cold;
-  const HeatmapResponse tiled_base = engine.ExecuteTiled(request, 4, 4, &cold);
+  const HeatmapResponse tiled_base = Tiled(engine, request, 4, 4, &cold);
   EXPECT_EQ(engine.Submit(request).get().grid.values(),
             tiled_base.grid.values());
   ASSERT_GT(cold.swept_tiles, 8);  // the population reaches most tiles
@@ -272,13 +285,41 @@ TEST(TileDifferentialTest, EngineTiledEditInvalidatesOnlyOverlappedTiles) {
   const HeatmapRequestV2 edited_request{edited, domain, 48, 48};
   TiledServeStats warm;
   const HeatmapResponse tiled_edited =
-      engine.ExecuteTiled(edited_request, 4, 4, &warm);
+      Tiled(engine, edited_request, 4, 4, &warm);
   EXPECT_EQ(engine.Submit(edited_request).get().grid.values(),
             tiled_edited.grid.values());
   EXPECT_GE(warm.swept_tiles, 1);  // the overlapped corner tile resweeps
   EXPECT_LE(warm.swept_tiles, 4);  // ... and only its immediate neighborhood
   EXPECT_EQ(warm.cached_tiles + warm.swept_tiles + warm.background_tiles, 16);
   EXPECT_GT(warm.cached_tiles, warm.swept_tiles);
+}
+
+// Every bad tiled request is a Status, never a CHECK.
+TEST(TileDifferentialTest, EngineTiledRejectsBadRequestsWithAStatus) {
+  SizeInfluence measure;
+  HeatmapEngineOptions options;
+  options.num_threads = 1;
+  HeatmapEngine engine(measure, options);
+  const Rect domain{{0.0, 0.0}, {1.0, 1.0}};
+  const CircleSetHandle handle = engine.registry().Register(
+      MakeCircles(1212, 10, 0.02, 0.1), Metric::kLInf);
+  std::optional<HeatmapResponse> response;
+  const auto code = [&](const HeatmapRequestV2& request, int rows, int cols) {
+    return engine.ExecuteTiledChecked(request, rows, cols, &response).code;
+  };
+  EXPECT_EQ(code({handle, domain, 16, 16}, 0, 2),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({handle, domain, 16, 16}, 2, kMaxTileGridSide + 1),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({handle, domain, 0, 16}, 2, 2),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({handle, Rect{{1, 0}, {1, 1}}, 16, 16}, 2, 2),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({CircleSetHandle{999, 1}, domain, 16, 16}, 2, 2),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(response.has_value());
+  EXPECT_EQ(code({handle, domain, 16, 16}, 2, 2), StatusCode::kOk);
+  EXPECT_TRUE(response.has_value());
 }
 
 // The shard-facing fragment path: ExecuteTileFragmentChecked returns
@@ -295,12 +336,14 @@ TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
       MakeCircles(1111, 45, 0.02, 0.2), Metric::kL2);
   const HeatmapRequestV2 request{handle, domain, 44, 44};
   const HeatmapResponse reference = engine.Submit(request).get();
+  const PinnedHeatmapRequest pinned{engine.registry().Resolve(handle), domain,
+                                    44, 44};
   const std::vector<TileWindow> windows = TileWindows(domain, 44, 44, 2, 3);
   HeatmapGrid stitched(44, 44, domain, measure.Evaluate({}));
   for (int tile_id = 0; tile_id < 6; ++tile_id) {
     std::optional<HeatmapResponse> fragment;
     ASSERT_TRUE(
-        engine.ExecuteTileFragmentChecked(request, 2, 3, tile_id, &fragment)
+        engine.ExecuteTileFragmentChecked(pinned, 2, 3, tile_id, &fragment)
             .ok());
     ASSERT_TRUE(fragment.has_value());
     EXPECT_EQ(fragment->grid.width(), windows[tile_id].width());
@@ -311,16 +354,24 @@ TEST(TileDifferentialTest, EngineTileFragmentsStitch) {
 
   std::optional<HeatmapResponse> fragment;
   EXPECT_FALSE(
-      engine.ExecuteTileFragmentChecked(request, 2, 3, 6, &fragment).ok());
+      engine.ExecuteTileFragmentChecked(pinned, 2, 3, 6, &fragment).ok());
   EXPECT_FALSE(
-      engine.ExecuteTileFragmentChecked(request, 0, 3, 0, &fragment).ok());
+      engine.ExecuteTileFragmentChecked(pinned, 0, 3, 0, &fragment).ok());
   // A tile grid finer than the raster leaves some windows empty; asking
   // for one is a client error, not a crash.
   EXPECT_FALSE(
       engine
           .ExecuteTileFragmentChecked(
-              HeatmapRequestV2{handle, domain, 2, 2}, 4, 4, 1, &fragment)
+              PinnedHeatmapRequest{pinned.set, domain, 2, 2}, 4, 4, 1,
+              &fragment)
           .ok());
+  // A null snapshot (an unresolved handle) is kNotFound.
+  EXPECT_EQ(engine
+                .ExecuteTileFragmentChecked(
+                    PinnedHeatmapRequest{nullptr, domain, 44, 44}, 2, 3, 0,
+                    &fragment)
+                .code,
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -94,6 +94,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -326,7 +327,7 @@ int CmdHeatmap(const Args& args) {
   }
   SizeInfluence measure;
   const Rect domain = BoundingBox(clients, 0.02);
-  HeatmapGrid grid = [&] {
+  std::optional<HeatmapGrid> built = [&]() -> std::optional<HeatmapGrid> {
     if (cache_bytes > 0) {
       // Engine path: the result cache serves every byte-identical
       // re-request (iterations 2..repeat) without sweeping. With --tiles
@@ -346,8 +347,14 @@ int CmdHeatmap(const Args& args) {
         for (int i = 0; i < repeat; ++i) {
           TiledServeStats tile_stats;
           Stopwatch sw;
-          last = engine.ExecuteTiled(request, tile_rows, tile_cols,
-                                     &tile_stats);
+          std::optional<HeatmapResponse> response;
+          const Status status = engine.ExecuteTiledChecked(
+              request, tile_rows, tile_cols, &response, &tile_stats);
+          if (!status.ok()) {
+            std::fprintf(stderr, "%s\n", status.ToString().c_str());
+            return std::nullopt;
+          }
+          last = std::move(*response);
           std::printf("iteration %d: %.2f ms (%d tiles: %d swept, %d "
                       "cached, %d background)\n",
                       i + 1, sw.ElapsedMs(), tile_stats.tiles,
@@ -402,6 +409,8 @@ int CmdHeatmap(const Args& args) {
             domain, size, size, threads);
     }
   }();
+  if (!built.has_value()) return 1;
+  const HeatmapGrid& grid = *built;
   std::printf("heat map %dx%d, max influence %.0f\n", size, size,
               grid.MaxValue());
   if (args.Has("ascii")) {
