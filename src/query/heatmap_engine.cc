@@ -174,16 +174,20 @@ Status HeatmapEngine::ExecuteChecked(
   const PinnedHeatmapRequest pinned{registry_->Resolve(request.circles),
                                     request.domain, request.width,
                                     request.height};
-  if (const Status status = LookupChecked(pinned, response);
-      !status.ok() || response->has_value()) {
+  std::optional<SweepCacheHit> hit;
+  if (const Status status = LookupChecked(pinned, &hit); !status.ok()) {
     return status;
   }
-  return SweepChecked(pinned, response);
+  if (!hit.has_value()) return SweepChecked(pinned, response);
+  return Guarded([&] {
+    *response = hit->Copy();
+    return Status::Ok();
+  });
 }
 
 Status HeatmapEngine::LookupChecked(
     const PinnedHeatmapRequest& request,
-    std::optional<HeatmapResponse>* hit) const {
+    std::optional<SweepCacheHit>* hit) const {
   if (const Status geometry =
           CheckGeometry(request.domain, request.width, request.height);
       !geometry.ok()) {
@@ -336,9 +340,9 @@ Status HeatmapEngine::ExecuteDeltaChecked(
     if (cache_ != nullptr) {
       const SweepCacheKey derived_key{set->content_hash(), domain, width,
                                       height};
-      std::optional<HeatmapResponse> hit = cache_->Lookup(derived_key, set);
-      if (hit.has_value()) {
-        *response = std::move(*hit);
+      if (std::optional<SweepCacheHit> hit =
+              cache_->Lookup(derived_key, set)) {
+        *response = hit->Copy();
         return Status::Ok();
       }
       // Splice: reuse the base raster when the cache still holds it and
@@ -347,10 +351,9 @@ Status HeatmapEngine::ExecuteDeltaChecked(
       if (set->metric() != Metric::kL1) {
         const SweepCacheKey base_key{base_set->content_hash(), domain, width,
                                      height};
-        std::optional<HeatmapResponse> base_hit =
-            cache_->Lookup(base_key, base_set);
-        if (base_hit.has_value()) {
-          HeatmapGrid grid = std::move(base_hit->grid);
+        if (std::optional<SweepCacheHit> base_hit =
+                cache_->Lookup(base_key, base_set)) {
+          HeatmapGrid grid = base_hit->response->grid;  // the splice base
           const IncrementalRasterStats inc = RecomputeDirtyColumns(
               &grid, set->metric(), set->circles(), measure_, dirty);
           HeatmapResponse served{std::move(grid), inc.sweep.crest,
@@ -383,12 +386,14 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
     return HeatmapResponse{std::move(fragment), sweep.crest, sweep.l2, false,
                            cache_stats()};
   }
-  std::vector<NnCircle> subset = plan.GatherCircles(t);
+  std::shared_ptr<const CircleSetSnapshot> subset =
+      CircleSetSnapshot::Make(plan.GatherCircles(t), metric);
   const SweepCacheKey key =
-      TileKey(HashCircleSet(subset, metric), domain, width, height, t.window);
+      TileKey(subset->content_hash(), domain, width, height, t.window);
   if (cache_ != nullptr) {
-    std::optional<HeatmapResponse> hit = cache_->Lookup(key, subset, metric);
-    if (hit.has_value()) return std::move(*hit);
+    if (std::optional<SweepCacheHit> hit = cache_->Lookup(key, subset)) {
+      return hit->Copy();
+    }
   }
   MetricSweepStats sweep;
   HeatmapGrid fragment = plan.SweepTileFragment(
@@ -396,8 +401,7 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
   HeatmapResponse response{std::move(fragment), sweep.crest, sweep.l2, false,
                            {}};
   if (cache_ != nullptr) {
-    cache_->Insert(key, CircleSetSnapshot::Make(std::move(subset), metric),
-                   response);
+    cache_->Insert(key, std::move(subset), response);
     response.cache = cache_->stats();
   }
   return response;
@@ -405,11 +409,11 @@ HeatmapResponse HeatmapEngine::ServeTileFragment(const TilePlan& plan,
 
 HeatmapResponse HeatmapEngine::Serve(
     const PinnedHeatmapRequest& request) const {
-  std::optional<HeatmapResponse> hit = Lookup(request);
-  return hit.has_value() ? std::move(*hit) : SweepAndAdmit(request);
+  std::optional<SweepCacheHit> hit = Lookup(request);
+  return hit.has_value() ? hit->Copy() : SweepAndAdmit(request);
 }
 
-std::optional<HeatmapResponse> HeatmapEngine::Lookup(
+std::optional<SweepCacheHit> HeatmapEngine::Lookup(
     const PinnedHeatmapRequest& request) const {
   if (cache_ == nullptr) return std::nullopt;
   return cache_->Lookup(SweepCacheKey{request.set->content_hash(),
@@ -472,6 +476,13 @@ HeatmapResponse HeatmapEngine::Sweep(const std::vector<NnCircle>& circles,
     stats = RunCrest(circles, measure_, &counter, crest);
   }
   return HeatmapResponse{std::move(grid), stats, {}, false, {}};
+}
+
+HeatmapResponse SweepCacheHit::Copy() const {
+  HeatmapResponse out = *response;
+  out.from_cache = true;
+  out.cache = stats;
+  return out;
 }
 
 size_t HeatmapEngine::pending() const {

@@ -141,6 +141,21 @@ struct HeatmapResponse {
   SweepCacheStats cache;
 };
 
+/// A SweepCache hit: the memoized response, shared and immutable (as it
+/// was admitted: `from_cache` false, `cache` all zero), plus the cache
+/// counters as of this hit. Holding it keeps the grid alive even if the
+/// entry is evicted meanwhile. Encode it as it stands (query/wire.h
+/// EncodeResponse with from_cache = true and `stats`), or take an owned
+/// response with Copy().
+struct SweepCacheHit {
+  std::shared_ptr<const HeatmapResponse> response;
+  SweepCacheStats stats;
+
+  /// The response as a hit reports it — `from_cache` set, `stats` as its
+  /// cache counters — with the grid copied.
+  HeatmapResponse Copy() const;
+};
+
 struct HeatmapEngineOptions {
   /// Worker threads draining the request queue. 0 picks the hardware
   /// concurrency; 1 gives the deterministic single-worker mode (requests
@@ -256,13 +271,14 @@ class HeatmapEngine {
   /// ExecuteChecked's two halves, for a server that answers cache hits on
   /// its own thread and hands misses to the pool (serve/wire_server.h).
   /// LookupChecked checks geometry and probes the cache: kOk with `*hit`
-  /// engaged on a hit, kOk with `*hit` empty on a miss or a cache-disabled
-  /// engine. SweepChecked serves the miss — sweep, then admit — without
-  /// probing again, so one LookupChecked plus one SweepChecked moves the
+  /// engaged on a hit (the shared entry, not a copy), kOk with `*hit`
+  /// empty on a miss or a cache-disabled engine. SweepChecked serves the
+  /// miss — sweep, then admit — without probing again, so one
+  /// LookupChecked plus one SweepChecked moves the
   /// cache counters exactly as one ExecuteChecked does. A null snapshot
   /// is kNotFound; a throwing sweep kInternal.
   Status LookupChecked(const PinnedHeatmapRequest& request,
-                       std::optional<HeatmapResponse>* hit) const;
+                       std::optional<SweepCacheHit>* hit) const;
   Status SweepChecked(const PinnedHeatmapRequest& request,
                       std::optional<HeatmapResponse>* response) const;
 
@@ -315,7 +331,7 @@ class HeatmapEngine {
   HeatmapResponse Serve(const PinnedHeatmapRequest& request) const;
   // Cache probe keyed by the snapshot's content hash; nullopt on a miss
   // or a cache-disabled engine.
-  std::optional<HeatmapResponse> Lookup(
+  std::optional<SweepCacheHit> Lookup(
       const PinnedHeatmapRequest& request) const;
   // The miss path: sweep, then admit sharing the snapshot.
   HeatmapResponse SweepAndAdmit(const PinnedHeatmapRequest& request) const;

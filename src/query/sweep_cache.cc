@@ -5,8 +5,6 @@
 
 #include "common/mutex.h"
 
-#include "heatmap/serialization.h"
-
 namespace rnnhm {
 
 namespace {
@@ -34,14 +32,20 @@ void HashDouble(uint64_t* h, double v) {
 // builds and API changes.
 constexpr size_t kEntryKeyBytes = 72;
 
-// Resident footprint of one entry: the memoized grid at its serialized
-// size plus the key's circle payload (what dominates in practice).
-// Deliberately conservative: several entries sharing one snapshot each
-// charge the full circle payload, so the budget over- (never under-)
-// estimates residency.
+// The grid's charge: its resident doubles plus a pinned 48 bytes (the
+// former always-f64 serialized header), so admission and eviction stay
+// byte-for-byte what they were when entries were charged at their
+// serialized size, however narrow a lane the grid now encodes to.
+constexpr size_t kEntryGridHeaderBytes = 48;
+
+// Resident footprint of one entry: the memoized grid plus the key's
+// circle payload (what dominates in practice). Deliberately conservative:
+// several entries sharing one snapshot each charge the full circle
+// payload, so the budget over- (never under-) estimates residency.
 size_t EntryBytes(size_t num_circles, const HeatmapResponse& response) {
-  return SerializedSizeBytes(response.grid) + num_circles * sizeof(NnCircle) +
-         kEntryKeyBytes;
+  return kEntryGridHeaderBytes +
+         response.grid.values().size() * sizeof(double) +
+         num_circles * sizeof(NnCircle) + kEntryKeyBytes;
 }
 
 }  // namespace
@@ -64,49 +68,21 @@ uint64_t SweepCache::Fingerprint(const SweepCacheKey& key) {
   return h;
 }
 
-template <typename SameSet>
-std::optional<HeatmapResponse> SweepCache::LookupImpl(
-    const SweepCacheKey& key, const SameSet& same_set) {
-  const uint64_t fingerprint = Fingerprint(key);
-  std::shared_ptr<const HeatmapResponse> found;
-  SweepCacheStats snapshot;
-  {
-    MutexLock lock(&mu_);
-    const auto it = index_.find(fingerprint);
-    if (it == index_.end() || !(it->second->key == key) ||
-        !same_set(*it->second->set)) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
-    ++stats_.hits;
-    found = it->second->response;
-    snapshot = stats_;
-  }
-  // Materialize the caller's copy outside the critical section: the entry
-  // is immutable, so concurrent hits copy the grid in parallel (eviction
-  // in another thread only drops the shared reference, never the bytes).
-  HeatmapResponse out = *found;
-  out.from_cache = true;
-  out.cache = snapshot;
-  return out;
-}
-
-std::optional<HeatmapResponse> SweepCache::Lookup(
+std::optional<SweepCacheHit> SweepCache::Lookup(
     const SweepCacheKey& key,
     const std::shared_ptr<const CircleSetSnapshot>& set) {
-  return LookupImpl(key, [&](const CircleSetSnapshot& entry_set) {
-    return &entry_set == set.get() ||
-           entry_set.SameContent(set->circles(), set->metric());
-  });
-}
-
-std::optional<HeatmapResponse> SweepCache::Lookup(
-    const SweepCacheKey& key, std::span<const NnCircle> circles,
-    Metric metric) {
-  return LookupImpl(key, [&](const CircleSetSnapshot& entry_set) {
-    return entry_set.SameContent(circles, metric);
-  });
+  const uint64_t fingerprint = Fingerprint(key);
+  MutexLock lock(&mu_);
+  const auto it = index_.find(fingerprint);
+  if (it == index_.end() || !(it->second->key == key) ||
+      (it->second->set != set &&
+       !it->second->set->SameContent(set->circles(), set->metric()))) {
+    ++stats_.misses;
+    return std::nullopt;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
+  ++stats_.hits;
+  return SweepCacheHit{it->second->response, stats_};
 }
 
 void SweepCache::Insert(const SweepCacheKey& key,

@@ -17,9 +17,14 @@
 // entry's snapshot (pointer equality short-circuits for snapshots shared
 // through a CircleSetRegistry), so a fingerprint collision degrades to a
 // miss instead of returning the wrong map.
-// Eviction is LRU under two ceilings: resident bytes (grids are sized via
-// SerializedSizeBytes, keys by their circle payload) and entry count.
-// All methods are thread-safe; workers of one engine share one instance.
+// A hit shares the immutable entry instead of copying it out
+// (SweepCacheHit): the socket server encodes a hit's reply straight from
+// the cached grid, and callers that need an owned response copy it
+// explicitly.
+// Eviction is LRU under two ceilings: resident bytes (grids are charged
+// at their resident doubles, keys by their circle payload) and entry
+// count. All methods are thread-safe; workers of one engine share one
+// instance.
 #ifndef RNNHM_QUERY_SWEEP_CACHE_H_
 #define RNNHM_QUERY_SWEEP_CACHE_H_
 
@@ -27,7 +32,6 @@
 #include <list>
 #include <memory>
 #include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "common/mutex.h"
@@ -81,24 +85,16 @@ class SweepCache {
  public:
   explicit SweepCache(SweepCacheOptions options);
 
-  /// Returns the memoized response for `key` (marking it most-recently
-  /// used), or nullopt. `set` is the lookup's circle set, used only to
-  /// verify a candidate entry's content on a hash collision — snapshots
-  /// shared through a registry short-circuit on pointer equality. The
-  /// returned copy has `from_cache` set and carries a fresh stats
-  /// snapshot.
-  std::optional<HeatmapResponse> Lookup(
+  /// Returns the memoized entry for `key` (marking it most-recently used)
+  /// with the counters as of this hit, or nullopt. `set` is the lookup's
+  /// circle set, used only to verify a candidate entry's content on a hash
+  /// collision — snapshots shared through a registry short-circuit on
+  /// pointer equality. Copy-free: the hit shares the immutable entry,
+  /// which stays alive while the hit is held, evicted or not.
+  std::optional<SweepCacheHit> Lookup(
       const SweepCacheKey& key,
       const std::shared_ptr<const CircleSetSnapshot>& set)
       RNNHM_EXCLUDES(mu_);
-
-  /// As above for callers without a snapshot (tile fragments, whose
-  /// circle subset is gathered per lookup): collision verification
-  /// compares against `circles`/`metric` directly, with no copy and no
-  /// re-hash.
-  std::optional<HeatmapResponse> Lookup(const SweepCacheKey& key,
-                                        std::span<const NnCircle> circles,
-                                        Metric metric) RNNHM_EXCLUDES(mu_);
 
   /// Admits `response` for `key`, evicting LRU entries to fit. `set` must
   /// be the snapshot the response was computed from (its hash must equal
@@ -126,19 +122,11 @@ class SweepCache {
     // The circle set the response was computed from; kept to verify
     // content equality on hit.
     std::shared_ptr<const CircleSetSnapshot> set;
-    // Immutable once admitted; hits grab the pointer under the lock and
-    // materialize the caller's copy outside it, so concurrent hits never
-    // serialize on the multi-megabyte grid copy.
+    // Immutable once admitted; hits share the pointer, so no hit copies
+    // the grid and eviction only drops this reference.
     std::shared_ptr<const HeatmapResponse> response;
     size_t bytes;
   };
-
-  // Shared hit path: `same_set` decides whether a candidate entry's
-  // snapshot matches the lookup's circle content.
-  template <typename SameSet>
-  std::optional<HeatmapResponse> LookupImpl(const SweepCacheKey& key,
-                                            const SameSet& same_set)
-      RNNHM_EXCLUDES(mu_);
 
   // Evicts LRU entries until both budgets hold.
   void EvictToFitLocked() RNNHM_REQUIRES(mu_);

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "common/little_endian.h"
 #include "heatmap/serialization.h"
 #include "query/wire_layout.h"
 
@@ -61,6 +62,9 @@ static_assert(wl::Contiguous(wl::kStatsResponseLayout) &&
               wl::TotalBytes(wl::kStatsResponseLayout) == kStatsResponseBytes);
 static_assert(wl::Contiguous(wl::kCircleLayout) &&
               wl::TotalBytes(wl::kCircleLayout) == kCircleBytes);
+static_assert(wl::Contiguous(wl::kGridLayout) &&
+              wl::TotalBytes(wl::kGridLayout) == wl::kGridHeaderBytes &&
+              wl::kGridHeaderBytes == kHeatmapHeaderBytes);
 
 // Routing peeks: PeekRouteInfo reads these raw offsets without decoding,
 // so they must match the tables exactly.
@@ -95,40 +99,7 @@ static_assert(wl::kWireVersionHistory[std::size(wl::kWireVersionHistory) -
                                       1]
                   .stats_response_bytes == kStatsResponseBytes);
 
-// --- Little-endian primitives (explicit, host-endianness independent) -----
-
-void PutMagic(std::vector<uint8_t>* out, const char magic[4]) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(magic[i]));
-  }
-}
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
+// --- Little-endian reads (explicit, host-endianness independent) ----------
 
 // Bounds-checked sequential reader; the first short read latches !ok and
 // every later Get returns zero, so decoders can read a whole header and
@@ -354,6 +325,8 @@ StatusCode FromWireStatus(WireStatus status) {
       return StatusCode::kInvalidArgument;
     case WireStatus::kUnknownCircleSet:
       return StatusCode::kNotFound;
+    case WireStatus::kTooLarge:
+      return StatusCode::kResourceExhausted;
     case WireStatus::kServerError:
       break;
   }
@@ -365,8 +338,9 @@ WireStatus ToWireStatus(StatusCode code) {
     case StatusCode::kOk:
       return WireStatus::kOk;
     case StatusCode::kInvalidArgument:
-    case StatusCode::kResourceExhausted:
       return WireStatus::kMalformedRequest;
+    case StatusCode::kResourceExhausted:
+      return WireStatus::kTooLarge;
     case StatusCode::kNotFound:
       return WireStatus::kUnknownCircleSet;
     case StatusCode::kInternal:
@@ -376,6 +350,22 @@ WireStatus ToWireStatus(StatusCode code) {
       break;
   }
   return WireStatus::kServerError;
+}
+
+const char* WireStatusName(WireStatus status) {
+  switch (status) {
+    case WireStatus::kOk:
+      return "ok";
+    case WireStatus::kMalformedRequest:
+      return "malformed-request";
+    case WireStatus::kUnknownCircleSet:
+      return "unknown-circle-set";
+    case WireStatus::kServerError:
+      return "server-error";
+    case WireStatus::kTooLarge:
+      return "too-large";
+  }
+  return "unknown";
 }
 
 WireRequest MakeWireRequest(const CircleSetSnapshot& set, const Rect& domain,
@@ -642,11 +632,15 @@ void EncodeResponseHeader(std::vector<uint8_t>* out, WireStatus status,
 
 }  // namespace
 
-std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response) {
+std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response,
+                                    bool from_cache,
+                                    const SweepCacheStats& cache) {
   std::vector<uint8_t> out;
-  out.reserve(kResponseHeaderBytes + 17 * sizeof(uint64_t) +
-              SerializedSizeBytes(response.grid));
-  EncodeResponseHeader(&out, WireStatus::kOk, response.from_cache, "");
+  // Room for the narrowest grid lane; EncodeHeatmap grows it on a miss.
+  out.reserve(kResponseHeaderBytes +
+              wire_layout::kResponseStatsWords * sizeof(uint64_t) +
+              kHeatmapHeaderBytes + response.grid.values().size());
+  EncodeResponseHeader(&out, WireStatus::kOk, from_cache, "");
   PutU64(&out, response.stats.num_circles);
   PutU64(&out, response.stats.num_skipped_circles);
   PutU64(&out, response.stats.num_events);
@@ -658,12 +652,12 @@ std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response) {
   PutU64(&out, response.l2_stats.num_events);
   PutU64(&out, response.l2_stats.num_cross_events);
   PutU64(&out, response.l2_stats.num_labelings);
-  PutU64(&out, response.cache.hits);
-  PutU64(&out, response.cache.misses);
-  PutU64(&out, response.cache.insertions);
-  PutU64(&out, response.cache.evictions);
-  PutU64(&out, response.cache.entries);
-  PutU64(&out, response.cache.bytes);
+  PutU64(&out, cache.hits);
+  PutU64(&out, cache.misses);
+  PutU64(&out, cache.insertions);
+  PutU64(&out, cache.evictions);
+  PutU64(&out, cache.entries);
+  PutU64(&out, cache.bytes);
   EncodeHeatmap(response.grid, &out);
   return out;
 }
@@ -687,7 +681,7 @@ std::optional<WireResponse> DecodeResponse(std::span<const uint8_t> bytes,
   const uint16_t reserved = r.U16();
   const uint32_t error_len = r.U32();
   if (!r.ok()) return Fail(error, "response header truncated");
-  if (status > static_cast<uint8_t>(WireStatus::kServerError)) {
+  if (status > static_cast<uint8_t>(WireStatus::kTooLarge)) {
     return Fail(error, "unknown response status");
   }
   if (reserved != 0 || from_cache > 1) {

@@ -17,8 +17,10 @@
 // swept.
 //
 // Responses carry the full HeatmapResponse: status, sweep counters, cache
-// counters and the grid (the grid payload reuses heatmap/serialization's
-// "RNHM" byte format).
+// counters and the grid. The grid payload is heatmap/serialization's
+// "RNHM" blob, which stores the values in the narrowest lane that holds
+// them exactly: a size-measure map (integer counts) travels as u8 or u16,
+// anything else as f64, and every value decodes bit-identically.
 //
 // Framing: a stream is a sequence of [u32 LE payload length][payload]
 // frames (WriteFrame/ReadFrame). The server side — decode, registry,
@@ -60,8 +62,11 @@ namespace rnnhm {
 /// the tile fragment op (a request for one tile of the domain-tiled
 /// decomposition, answered with a window-sized fragment grid — the
 /// by-tile sharding seam) and appends the tile counters to the stats
-/// reply; plain request/response layouts are unchanged from v5.
-inline constexpr uint32_t kWireVersion = 6;
+/// reply; plain request/response layouts are unchanged from v5. v7 moves
+/// the response grid to the RNHM v2 blob (a lane word after the domain;
+/// u8/u16/f64 bodies, see heatmap/serialization.h) and adds the kTooLarge
+/// status; no frame header changes size.
+inline constexpr uint32_t kWireVersion = 7;
 
 /// Ceiling on a frame's payload length (guards a garbage length prefix
 /// from triggering a giant allocation).
@@ -77,17 +82,23 @@ enum class WireStatus : uint8_t {
   kMalformedRequest = 1,   ///< frame decoded but failed validation
   kUnknownCircleSet = 2,   ///< by-reference hash not registered
   kServerError = 3,        ///< the sweep threw
+  kTooLarge = 4,           ///< over a size ceiling (pixels, frame bytes)
 };
 
 /// Maps an on-the-wire response status into the serving stack's unified
 /// Status code (common/status.h): kMalformedRequest -> kInvalidArgument,
-/// kUnknownCircleSet -> kNotFound, kServerError -> kInternal.
+/// kUnknownCircleSet -> kNotFound, kServerError -> kInternal, kTooLarge ->
+/// kResourceExhausted.
 StatusCode FromWireStatus(WireStatus status);
 
 /// The inverse: picks the wire status a server answers with for a local
 /// Status code. Codes with no wire meaning (transport-level ones like
 /// kUnavailable) collapse to kServerError.
 WireStatus ToWireStatus(StatusCode code);
+
+/// Short lower-case name of a response status ("ok", "too-large", ...),
+/// for logs and the CLI.
+const char* WireStatusName(WireStatus status);
 
 /// A decoded (or to-be-encoded) v2 request. `set_hash` is always the
 /// circle set's content hash (HashCircleSet under `metric`); `circles` is
@@ -127,8 +138,19 @@ struct WireResponse {
   std::optional<HeatmapResponse> response;
 };
 
-/// Serializes a success response (status kOk + counters + grid).
-std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response);
+/// Serializes a success response: status kOk, `from_cache`, the sweep
+/// counters and grid of `response`, and the cache counters `cache`.
+/// `response`'s own from_cache and cache fields are not read, so a cache
+/// hit encodes straight from the shared entry (SweepCacheHit) with its
+/// per-hit fields, without copying the grid.
+std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response,
+                                    bool from_cache,
+                                    const SweepCacheStats& cache);
+
+/// As above with the response's own from_cache and cache fields.
+inline std::vector<uint8_t> EncodeResponse(const HeatmapResponse& response) {
+  return EncodeResponse(response, response.from_cache, response.cache);
+}
 
 /// Serializes an error response (no grid).
 std::vector<uint8_t> EncodeErrorResponse(WireStatus status,

@@ -1,6 +1,6 @@
 // The wire protocol's layout, as data.
 //
-// Every frame the v2–v6 codecs exchange is a hand-packed little-endian
+// Every frame the v2–v7 codecs exchange is a hand-packed little-endian
 // byte layout whose encoder, decoder, and routing peeks (PeekRouteInfo
 // reads `set_hash` at a fixed offset without decoding) must agree on the
 // same offsets. This header is the single declarative source of truth:
@@ -13,9 +13,9 @@
 //   2. tests/wire_layout_test.cc: encoders produce frames whose bytes
 //      land where the tables say, for every version in the history;
 //   3. tools/check_wire_layout.py: parses these tables *textually* and
-//      cross-checks them against the Put* call sequences in wire.cc —
-//      catching the case where code and tables are edited together but
-//      wrongly.
+//      cross-checks them against the Put* call sequences in wire.cc (and
+//      in heatmap/serialization.cc for the grid header) — catching the
+//      case where code and tables are edited together but wrongly.
 //
 // The `// wire-layout:` marker lines are load-bearing: the Python linter
 // keys on them. Keep each table row in the `{"name", offset, size},`
@@ -47,6 +47,7 @@ inline constexpr std::size_t kTileIdOffset = 76;
 inline constexpr std::size_t kTileHeaderBytes = 80;
 inline constexpr std::size_t kStatsRequestBytes = 12;
 inline constexpr std::size_t kStatsResponseBytes = 92;
+inline constexpr std::size_t kGridHeaderBytes = 52;
 /// Trailing per-request stats in a success response: 6 CrestStats +
 /// 5 CrestL2Stats + 6 SweepCacheStats counters, u64 each.
 inline constexpr std::size_t kResponseStatsWords = 17;
@@ -149,6 +150,23 @@ inline constexpr WireField kStatsResponseLayout[] = {
     {"tile_fragments", 84, 8},
 };
 
+// The grid blob that ends a success response (heatmap/serialization.h,
+// RNHM v2): width * height values follow, `lane` bytes each (1 = u8,
+// 2 = u16, 8 = f64). Its encoder is EncodeHeatmapHeader in
+// heatmap/serialization.cc.
+// wire-layout: grid bytes=52 magic=RNHM
+inline constexpr WireField kGridLayout[] = {
+    {"magic", 0, 4},
+    {"version", 4, 4},
+    {"width", 8, 4},
+    {"height", 12, 4},
+    {"domain_lo_x", 16, 8},
+    {"domain_lo_y", 24, 8},
+    {"domain_hi_x", 32, 8},
+    {"domain_hi_y", 40, 8},
+    {"lane", 48, 4},
+};
+
 // One encoded circle record (the payload unit of request/tile frames).
 // wire-layout: circle bytes=28 magic=none
 inline constexpr WireField kCircleLayout[] = {
@@ -181,6 +199,7 @@ inline constexpr WireVersionInfo kWireVersionHistory[] = {
     {4, 68, 16, 12, 68, 76, 0},   // + delta frames, stats grows to 7
     {5, 68, 16, 12, 76, 76, 0},   // + eviction/dirty-column counters (8)
     {6, 68, 16, 12, 92, 76, 80},  // + tile fan-out, routing counters (10)
+    {7, 68, 16, 12, 92, 76, 80},  // + u8/u16 grid lanes, kTooLarge status
 };
 
 // --- Compile-time checkers ------------------------------------------------

@@ -79,10 +79,14 @@ WireServer::Step WireServer::StartFrame(std::span<const uint8_t> frame,
       status = ResolveSet(*request, /*delta_base=*/false, scope, &handle,
                           &job->request);
     }
-    std::optional<HeatmapResponse> hit;
+    std::optional<SweepCacheHit> hit;
     if (status.ok()) status = engine_.LookupChecked(job->request, &hit);
     if (status.ok() && !hit.has_value()) return Step{{}, std::move(job)};
-    if (hit.has_value()) job->reply = EncodeResponse(*hit);
+    // A hit encodes straight from the shared cache entry: no grid copy.
+    if (hit.has_value()) {
+      job->reply = EncodeResponse(*hit->response, /*from_cache=*/true,
+                                  hit->stats);
+    }
   }
   return Step{FinishJob(*job, scope), nullptr};
 }
@@ -156,7 +160,7 @@ Status WireServer::ResolveSet(WireRequest& request, bool delta_base,
   if (static_cast<uint64_t>(request.width) *
           static_cast<uint64_t>(request.height) >
       kMaxWirePixels) {
-    return Status::InvalidArgument("raster exceeds the pixel ceiling");
+    return Status::ResourceExhausted("raster exceeds the pixel ceiling");
   }
   CircleSetRegistry& registry = engine_.registry();
   if (request.inline_circles) {

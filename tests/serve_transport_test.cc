@@ -357,7 +357,7 @@ TEST(EventLoopServerTest, OversizedFrameGetsAnErrorReplyThenClose) {
   std::string error;
   const auto decoded = DecodeResponse(reply, &error);
   ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status, WireStatus::kMalformedRequest);
+  EXPECT_EQ(decoded->status, WireStatus::kTooLarge);
   // The connection is closed after the error frame drains.
   const Status eof = RecvFrame(fd, &reply);
   EXPECT_EQ(eof.code, StatusCode::kUnavailable);

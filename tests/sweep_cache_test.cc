@@ -4,12 +4,12 @@
 
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "heatmap/influence.h"
-#include "heatmap/serialization.h"
 #include "query/heatmap_engine.h"
 
 namespace rnnhm {
@@ -72,12 +72,39 @@ TEST(SweepCacheTest, MissThenHitReturnsBitIdenticalResponse) {
   cache.Insert(e.key, e.set, response);
   const auto hit = cache.Lookup(e.key, e.set);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->from_cache);
-  EXPECT_EQ(hit->grid.values(), response.grid.values());
-  EXPECT_EQ(hit->grid.domain(), response.grid.domain());
-  EXPECT_EQ(hit->stats.num_labelings, response.stats.num_labelings);
-  EXPECT_EQ(hit->cache.hits, 1u);
-  EXPECT_EQ(hit->cache.misses, 1u);
+  // The shared entry is stored as admitted; the hit's own fields ride
+  // beside it.
+  EXPECT_FALSE(hit->response->from_cache);
+  EXPECT_EQ(hit->response->grid.values(), response.grid.values());
+  EXPECT_EQ(hit->response->grid.domain(), response.grid.domain());
+  EXPECT_EQ(hit->response->stats.num_labelings,
+            response.stats.num_labelings);
+  EXPECT_EQ(hit->stats.hits, 1u);
+  EXPECT_EQ(hit->stats.misses, 1u);
+  const HeatmapResponse copy = hit->Copy();
+  EXPECT_TRUE(copy.from_cache);
+  EXPECT_EQ(copy.grid.values(), response.grid.values());
+  EXPECT_EQ(copy.cache.hits, 1u);
+}
+
+// A hit holds the entry it shares: evicting the entry while the hit is
+// alive must leave the hit's grid intact (ASan would flag a dangling one).
+TEST(SweepCacheTest, HitOutlivesItsEvictedEntry) {
+  SweepCacheOptions options;
+  options.max_entries = 1;
+  SweepCache cache(options);
+  const Entry a = MakeEntry(5);
+  const Entry b = MakeEntry(6);
+  const HeatmapResponse response = MakeResponse(a);
+  cache.Insert(a.key, a.set, response);
+  std::optional<SweepCacheHit> hit = cache.Lookup(a.key, a.set);
+  ASSERT_TRUE(hit.has_value());
+  cache.Insert(b.key, b.set, MakeResponse(b));  // evicts a
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(a.key, a.set).has_value());
+  cache.Clear();
+  EXPECT_EQ(hit->response->grid.values(), response.grid.values());
+  EXPECT_EQ(hit->Copy().grid.values(), response.grid.values());
 }
 
 TEST(SweepCacheTest, FingerprintIsContentSensitive) {
@@ -128,7 +155,9 @@ TEST(SweepCacheTest, LruEvictsOldestFirstUnderEntryBudget) {
 TEST(SweepCacheTest, ByteBudgetBoundsResidency) {
   const Entry a = MakeEntry(20);
   const HeatmapResponse response = MakeResponse(a);
-  const size_t grid_bytes = SerializedSizeBytes(response.grid);
+  // A grid is charged at its resident doubles plus a pinned 48 bytes.
+  const size_t grid_bytes =
+      48 + response.grid.values().size() * sizeof(double);
   SweepCacheOptions options;
   // Two entries: grids, circle payloads and the fixed 72-byte per-entry
   // key overhead.

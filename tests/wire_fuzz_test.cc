@@ -4,7 +4,11 @@
 // same inputs), then driven through WireServer::HandleFrame and over one
 // EventLoopServer socket. Every input must yield exactly one reply that
 // decodes as a response, an error frame or a stats reply: no CHECK, no
-// hang, no dropped or extra frame. Needs no libFuzzer.
+// hang, no dropped or extra frame. The client side gets the same
+// treatment: mutants of valid success responses in every grid lane (u8,
+// u16, f64) go through DecodeResponse, which must refuse them or decode
+// them, never read past the buffer (the ASan build checks). Needs no
+// libFuzzer.
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -12,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +189,33 @@ bool IsWellFormedReply(const std::vector<uint8_t>& reply) {
          DecodeStatsResponse(reply, &error).has_value();
 }
 
+// Valid success responses whose grids travel in each lane: a size map
+// (u8), the same map with one count past 255 (u16) and with one
+// fraction (f64), plus a cache-hit reply.
+std::vector<std::vector<uint8_t>> SeedResponses() {
+  SizeInfluence measure;
+  HeatmapEngineOptions options;
+  options.num_threads = 1;
+  HeatmapEngine engine(measure, options);
+  const CircleSetHandle handle =
+      engine.registry().Register(MakeCircles(60, 12), Metric::kLInf);
+  std::optional<HeatmapResponse> response;
+  EXPECT_TRUE(engine
+                  .ExecuteChecked(HeatmapRequestV2{handle, kDomain, 9, 7},
+                                  &response)
+                  .ok());
+  std::vector<std::vector<uint8_t>> seeds;
+  seeds.push_back(EncodeResponse(*response));
+  response->grid.At(3, 2) = 300.0;
+  seeds.push_back(EncodeResponse(*response));
+  response->grid.At(4, 5) = 0.5;
+  seeds.push_back(EncodeResponse(*response));
+  SweepCacheStats cache;
+  cache.hits = 7;
+  seeds.push_back(EncodeResponse(*response, /*from_cache=*/true, cache));
+  return seeds;
+}
+
 HeatmapEngineOptions FuzzEngineOptions() {
   HeatmapEngineOptions options;
   options.num_threads = 2;
@@ -214,6 +247,49 @@ TEST(WireFuzzTest, EveryMutantGetsOneWellFormedReplyFromHandleFrame) {
   // stay valid requests.
   EXPECT_GT(ok_replies, SeedFrames().size() - 1);
   EXPECT_LT(skipped, static_cast<int>(inputs.size()) / 10);
+}
+
+TEST(WireFuzzTest, ResponseMutantsAreRefusedOrDecodeConsistently) {
+  const std::vector<std::vector<uint8_t>> seeds = SeedResponses();
+  Rng rng(kFuzzSeed ^ 0xA11CEull);
+  int decoded_ok = 0;
+  int refused = 0;
+  for (const std::vector<uint8_t>& seed : seeds) {
+    std::string error;
+    ASSERT_TRUE(DecodeResponse(seed, &error).has_value()) << error;
+  }
+  for (int round = 0; round < kMutantsPerSeed; ++round) {
+    for (const std::vector<uint8_t>& seed : seeds) {
+      // Exact-size copies, so ASan sees any read past the mutant.
+      const std::vector<uint8_t> mutant = Mutate(seeds, seed, rng);
+      std::string error;
+      const std::optional<WireResponse> decoded =
+          DecodeResponse(mutant, &error);
+      if (!decoded.has_value()) {
+        EXPECT_FALSE(error.empty());
+        ++refused;
+        continue;
+      }
+      ++decoded_ok;
+      if (!decoded->response.has_value()) continue;  // an error frame
+      // Whatever decoded re-encodes (maybe in another lane) to the same
+      // values, bit for bit.
+      const HeatmapGrid& grid = decoded->response->grid;
+      const auto again =
+          DecodeResponse(EncodeResponse(*decoded->response), &error);
+      ASSERT_TRUE(again.has_value()) << error;
+      ASSERT_TRUE(again->response.has_value());
+      const HeatmapGrid& round_trip = again->response->grid;
+      ASSERT_EQ(round_trip.values().size(), grid.values().size());
+      EXPECT_EQ(std::memcmp(round_trip.data(), grid.data(),
+                            grid.values().size() * sizeof(double)),
+                0);
+    }
+  }
+  // Most mutants are refused; some (bit flips inside counters or grid
+  // values) still decode.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(decoded_ok, 0);
 }
 
 TEST(WireFuzzTest, EveryMutantGetsOneWellFormedReplyOverOneSocket) {

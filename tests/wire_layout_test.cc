@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "heatmap/serialization.h"
 #include "query/wire.h"
 
 namespace rnnhm {
@@ -58,7 +59,7 @@ NnCircle TestCircle(int client) {
 
 TEST(WireLayoutTest, VersionHistoryIsAppendOnlyAndEndsAtLiveVersion) {
   constexpr size_t n = std::size(wl::kWireVersionHistory);
-  ASSERT_GE(n, 5u);  // v2..v6 at minimum
+  ASSERT_GE(n, 6u);  // v2..v7 at minimum
   EXPECT_EQ(wl::kWireVersionHistory[0].version, 2u);
   EXPECT_EQ(wl::kWireVersionHistory[n - 1].version, kWireVersion);
   for (size_t i = 1; i < n; ++i) {
@@ -86,7 +87,7 @@ TEST(WireLayoutTest, PublishedSizesPerVersion) {
   constexpr Row kExpected[] = {
       {2, 68, 16, 0, 0, 0, 0},    {3, 68, 16, 12, 44, 0, 0},
       {4, 68, 16, 12, 68, 76, 0}, {5, 68, 16, 12, 76, 76, 0},
-      {6, 68, 16, 12, 92, 76, 80},
+      {6, 68, 16, 12, 92, 76, 80}, {7, 68, 16, 12, 92, 76, 80},
   };
   ASSERT_EQ(std::size(wl::kWireVersionHistory), std::size(kExpected));
   for (size_t i = 0; i < std::size(kExpected); ++i) {
@@ -258,6 +259,27 @@ TEST(WireLayoutTest, StatsBytesLandAtTableOffsets) {
   EXPECT_EQ(ReadLe(bytes, OffsetOf(t, "tile_fragments"), 8), 55u);
 }
 
+TEST(WireLayoutTest, GridBytesLandAtTableOffsets) {
+  HeatmapGrid grid(3, 2, Rect{{-1.5, -2.5}, {3.5, 4.5}}, 7.0);
+  grid.At(2, 1) = 300.0;  // past u8: the u16 lane
+  std::vector<uint8_t> bytes;
+  EncodeHeatmap(grid, &bytes);
+  const auto& t = wl::kGridLayout;
+  ASSERT_EQ(bytes.size(), wl::kGridHeaderBytes + 6 * sizeof(uint16_t));
+  EXPECT_EQ(MagicAt(bytes), "RNHM");
+  EXPECT_EQ(ReadLe(bytes, OffsetOf(t, "version"), 4), 2u);
+  EXPECT_EQ(ReadLe(bytes, OffsetOf(t, "width"), 4), 3u);
+  EXPECT_EQ(ReadLe(bytes, OffsetOf(t, "height"), 4), 2u);
+  EXPECT_EQ(ReadF64(bytes, OffsetOf(t, "domain_lo_x")), -1.5);
+  EXPECT_EQ(ReadF64(bytes, OffsetOf(t, "domain_lo_y")), -2.5);
+  EXPECT_EQ(ReadF64(bytes, OffsetOf(t, "domain_hi_x")), 3.5);
+  EXPECT_EQ(ReadF64(bytes, OffsetOf(t, "domain_hi_y")), 4.5);
+  EXPECT_EQ(ReadLe(bytes, OffsetOf(t, "lane"), 4), 2u);
+  // The body starts right after the table: row-major u16 values.
+  EXPECT_EQ(ReadLe(bytes, wl::kGridHeaderBytes, 2), 7u);
+  EXPECT_EQ(ReadLe(bytes, wl::kGridHeaderBytes + 10, 2), 300u);
+}
+
 TEST(WireLayoutTest, TablesAreContiguousAndSizedAsDeclared) {
   EXPECT_TRUE(wl::Contiguous(wl::kRequestLayout));
   EXPECT_TRUE(wl::Contiguous(wl::kResponseLayout));
@@ -266,6 +288,7 @@ TEST(WireLayoutTest, TablesAreContiguousAndSizedAsDeclared) {
   EXPECT_TRUE(wl::Contiguous(wl::kStatsRequestLayout));
   EXPECT_TRUE(wl::Contiguous(wl::kStatsResponseLayout));
   EXPECT_TRUE(wl::Contiguous(wl::kCircleLayout));
+  EXPECT_TRUE(wl::Contiguous(wl::kGridLayout));
   EXPECT_EQ(wl::TotalBytes(wl::kRequestLayout), wl::kRequestHeaderBytes);
   EXPECT_EQ(wl::TotalBytes(wl::kResponseLayout),
             wl::kResponseHeaderBytes);
@@ -276,6 +299,7 @@ TEST(WireLayoutTest, TablesAreContiguousAndSizedAsDeclared) {
   EXPECT_EQ(wl::TotalBytes(wl::kStatsResponseLayout),
             wl::kStatsResponseBytes);
   EXPECT_EQ(wl::TotalBytes(wl::kCircleLayout), wl::kCircleBytes);
+  EXPECT_EQ(wl::TotalBytes(wl::kGridLayout), wl::kGridHeaderBytes);
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "heatmap/influence.h"
+#include "heatmap/serialization.h"
 #include "query/circle_set_registry.h"
 #include "query/heatmap_engine.h"
 #include "serve/byte_stream.h"
@@ -184,6 +187,42 @@ TEST(WireResponseTest, OkRoundTripPreservesGridStatsAndCacheCounters) {
   EXPECT_EQ(got.from_cache, response.from_cache);
   EXPECT_EQ(got.cache.misses, response.cache.misses);
   EXPECT_EQ(got.cache.bytes, response.cache.bytes);
+}
+
+// The grid travels in its narrowest exact lane (u8, u16 or f64); the
+// reply's from_cache flag and cache counters are per-reply arguments, not
+// read from the response, so a hit encodes straight from a shared entry.
+TEST(WireResponseTest, EveryGridLaneRoundTripsBitExactly) {
+  HeatmapResponse response = ComputeResponse(9, 40, Metric::kLInf, 24);
+  SweepCacheStats cache;
+  cache.hits = 3;
+  cache.misses = 4;
+  cache.bytes = 1234;
+  const size_t fixed = 16 + 17 * sizeof(uint64_t) + kHeatmapHeaderBytes;
+  const size_t pixels = response.grid.values().size();
+  for (const auto& [value, lane] :
+       {std::pair{0.0, 1u}, {70000.0, 8u}, {300.0, 2u}, {-0.0, 8u}}) {
+    response.grid.At(5, 7) = value;
+    const std::vector<uint8_t> bytes =
+        EncodeResponse(response, /*from_cache=*/true, cache);
+    EXPECT_EQ(bytes.size(), fixed + pixels * lane) << value;
+    std::string error;
+    const auto decoded = DecodeResponse(bytes, &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    ASSERT_TRUE(decoded->response.has_value());
+    const HeatmapResponse& got = *decoded->response;
+    ASSERT_EQ(got.grid.values().size(), pixels);
+    EXPECT_EQ(std::memcmp(got.grid.data(), response.grid.data(),
+                          pixels * sizeof(double)),
+              0)
+        << value;
+    EXPECT_EQ(got.stats.num_labelings, response.stats.num_labelings);
+    EXPECT_TRUE(got.from_cache);
+    EXPECT_FALSE(response.from_cache);
+    EXPECT_EQ(got.cache.hits, 3u);
+    EXPECT_EQ(got.cache.misses, 4u);
+    EXPECT_EQ(got.cache.bytes, 1234u);
+  }
 }
 
 TEST(WireResponseTest, DegenerateOnePixelGridRoundTrips) {
@@ -408,7 +447,7 @@ TEST(ServeStreamTest, OversizedRasterIsRefusedPolitely) {
   ASSERT_TRUE(frame.has_value()) << error;
   const auto decoded = DecodeResponse(*frame, &error);
   ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status, WireStatus::kMalformedRequest);
+  EXPECT_EQ(decoded->status, WireStatus::kTooLarge);
   std::fclose(in);
   std::fclose(out);
 }
@@ -484,7 +523,7 @@ TEST(WireStatsTest, ResponseValidationIsStrict) {
 TEST(WireStatusMappingTest, ErrorCodesRoundTrip) {
   for (const WireStatus status :
        {WireStatus::kMalformedRequest, WireStatus::kUnknownCircleSet,
-        WireStatus::kServerError}) {
+        WireStatus::kServerError, WireStatus::kTooLarge}) {
     EXPECT_EQ(ToWireStatus(FromWireStatus(status)), status);
   }
   EXPECT_EQ(FromWireStatus(WireStatus::kOk), StatusCode::kOk);
@@ -496,9 +535,28 @@ TEST(WireStatusMappingTest, TransportCodesCollapseToServerError) {
         StatusCode::kInternal, StatusCode::kDeadlineExceeded}) {
     EXPECT_EQ(ToWireStatus(code), WireStatus::kServerError);
   }
-  // Oversized frames surface as a malformed request to the peer.
+  // Oversized frames and rasters have a status of their own.
   EXPECT_EQ(ToWireStatus(StatusCode::kResourceExhausted),
-            WireStatus::kMalformedRequest);
+            WireStatus::kTooLarge);
+}
+
+TEST(WireStatusMappingTest, EveryStatusHasAName) {
+  EXPECT_STREQ(WireStatusName(WireStatus::kOk), "ok");
+  EXPECT_STREQ(WireStatusName(WireStatus::kMalformedRequest),
+               "malformed-request");
+  EXPECT_STREQ(WireStatusName(WireStatus::kUnknownCircleSet),
+               "unknown-circle-set");
+  EXPECT_STREQ(WireStatusName(WireStatus::kServerError), "server-error");
+  EXPECT_STREQ(WireStatusName(WireStatus::kTooLarge), "too-large");
+  // A too-large reply decodes; a status past the last one does not.
+  std::vector<uint8_t> bytes =
+      EncodeErrorResponse(WireStatus::kTooLarge, "raster too big");
+  std::string error;
+  const auto decoded = DecodeResponse(bytes, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->status, WireStatus::kTooLarge);
+  bytes[8] = 5;
+  EXPECT_FALSE(DecodeResponse(bytes, &error).has_value());
 }
 
 TEST(WireStatusMappingTest, ExitCodesAreDistinctPerStatusCode) {
@@ -1014,7 +1072,7 @@ TEST(WireServerTest, UnresolvableSetsAreRefusedForEveryFrameKind) {
       {"collided hash", MakeWireRequest(*collided, kDomain, 8, 8, false),
        WireStatus::kUnknownCircleSet},
       {"metric mismatch", metric_mismatch, WireStatus::kMalformedRequest},
-      {"pixel ceiling", oversized, WireStatus::kMalformedRequest},
+      {"pixel ceiling", oversized, WireStatus::kTooLarge},
   };
   struct FrameKind {
     const char* name;

@@ -3,7 +3,8 @@
 
 The declarative layout tables live in src/query/wire_layout.h (one
 ``// wire-layout: <frame> bytes=<N> magic=<XXXX>`` marker per table); the
-hand-written encoder/decoder lives in src/query/wire.cc. The C++
+hand-written encoder/decoder lives in src/query/wire.cc, and the grid blob
+every success response ends with in src/heatmap/serialization.cc. The C++
 static_asserts already force the codec's *constants* to match the tables,
 but both sides are edited by the same hands — this linter re-derives the
 layouts independently, straight from the text, and fails CI when:
@@ -12,7 +13,7 @@ layouts independently, straight from the text, and fails CI when:
   * an encoder's Put* call sequence (PutMagic=4, PutU32=4, push_back=1,
     PutU16=2, PutI32=4, PutF64=8, PutU64=8) disagrees with its table,
     field for field;
-  * a frame's magic literal in wire.cc differs from the table marker;
+  * a frame's magic literal in its source differs from the table marker;
   * the routing-peek offsets (PeekRouteInfo) do not
     line up with the set_hash / new_hash / tile_id table fields;
   * the version-history table is not append-only monotonic, misses a
@@ -34,6 +35,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 WIRE_LAYOUT_H = REPO / "src" / "query" / "wire_layout.h"
 WIRE_H = REPO / "src" / "query" / "wire.h"
 WIRE_CC = REPO / "src" / "query" / "wire.cc"
+GRID_CC = REPO / "src" / "heatmap" / "serialization.cc"
 
 # Bytes appended by each straight-line encoder call.
 CALL_SIZES = {
@@ -46,15 +48,17 @@ CALL_SIZES = {
     "push_back": 1,
 }
 
-# frame name in the table marker -> (magic constant in wire.cc, encoder).
+# frame name in the table marker -> (source, magic constant, encoder);
+# source "wire" is wire.cc, "grid" is serialization.cc.
 FRAMES = {
-    "request": ("kRequestMagic", "EncodeRequest"),
-    "response": ("kResponseMagic", "EncodeResponseHeader"),
-    "delta": ("kDeltaRequestMagic", "EncodeDeltaRequest"),
-    "tile": ("kTileRequestMagic", "EncodeTileRequest"),
-    "stats_request": ("kStatsRequestMagic", "EncodeStatsRequest"),
-    "stats_response": ("kStatsResponseMagic", "EncodeStatsResponse"),
-    "circle": (None, None),  # payload record: no magic, inline encoders
+    "request": ("wire", "kRequestMagic", "EncodeRequest"),
+    "response": ("wire", "kResponseMagic", "EncodeResponseHeader"),
+    "delta": ("wire", "kDeltaRequestMagic", "EncodeDeltaRequest"),
+    "tile": ("wire", "kTileRequestMagic", "EncodeTileRequest"),
+    "stats_request": ("wire", "kStatsRequestMagic", "EncodeStatsRequest"),
+    "stats_response": ("wire", "kStatsResponseMagic", "EncodeStatsResponse"),
+    "grid": ("grid", "kMagic", "EncodeHeatmapHeader"),
+    "circle": (None, None, None),  # payload record: no magic, inline
 }
 
 
@@ -135,7 +139,8 @@ def extract_function(cc_text: str, name: str) -> str:
     """The body of `name(...)` up to its closing brace (depth matched)."""
     m = re.search(rf"\b{name}\s*\([^;]*?\)\s*\{{", cc_text)
     if not m:
-        fail(f"wire.cc: encoder {name} not found")
+        fail(f"encoder {name} not found")
+        return ""
     depth, i = 1, m.end()
     while depth > 0 and i < len(cc_text):
         depth += {"{": 1, "}": -1}.get(cc_text[i], 0)
@@ -187,31 +192,33 @@ def check_tables(layouts: dict[str, Layout]) -> None:
                 fail(f"{layout.frame}: first field must be a 4-byte magic")
 
 
-def check_magics(layouts: dict[str, Layout], cc_text: str) -> None:
-    for frame, (constant, _) in FRAMES.items():
+def check_magics(layouts: dict[str, Layout],
+                 sources: dict[str, str]) -> None:
+    for frame, (source, constant, _) in FRAMES.items():
         if constant is None:
             continue
         m = re.search(
             rf"constexpr char {constant}\[4\] = \{{'(.)', '(.)', '(.)', '(.)'\}};",
-            cc_text,
+            sources[source],
         )
         if not m:
-            fail(f"wire.cc: magic constant {constant} not found")
+            fail(f"{source}: magic constant {constant} not found")
             continue
         literal = "".join(m.groups())
         declared = layouts[frame].magic
         if literal != declared:
             fail(
-                f"{frame}: wire.cc {constant} is '{literal}' but the table "
+                f"{frame}: {source} {constant} is '{literal}' but the table "
                 f"declares magic={declared}"
             )
 
 
-def check_encoders(layouts: dict[str, Layout], cc_text: str) -> None:
-    for frame, (_, encoder) in FRAMES.items():
+def check_encoders(layouts: dict[str, Layout],
+                   sources: dict[str, str]) -> None:
+    for frame, (source, _, encoder) in FRAMES.items():
         if encoder is None:
             continue
-        sizes = straight_line_sizes(extract_function(cc_text, encoder))
+        sizes = straight_line_sizes(extract_function(sources[source], encoder))
         table = layouts[frame]
         expected = [f.size for f in table.fields]
         if sizes[: len(expected)] != expected:
@@ -256,6 +263,7 @@ def check_peeks(layouts: dict[str, Layout], layout_text: str,
         ("kStatsRequestBytes", layouts["stats_request"].declared_bytes),
         ("kStatsResponseBytes", layouts["stats_response"].declared_bytes),
         ("kCircleBytes", layouts["circle"].declared_bytes),
+        ("kGridHeaderBytes", layouts["grid"].declared_bytes),
     ]
     for name, table_value in pairs:
         value = constant(name)
@@ -338,91 +346,82 @@ def check_history(layouts: dict[str, Layout], history: list[dict[str, int]],
             )
 
 
-def run_checks(layout_text: str, wire_h_text: str, cc_text: str) -> list[str]:
+def run_checks(layout_text: str, wire_h_text: str, cc_text: str,
+               grid_text: str) -> list[str]:
     ERRORS.clear()
+    sources = {"wire": cc_text, "grid": grid_text}
     layouts = parse_layouts(layout_text)
     if not ERRORS:
         check_tables(layouts)
     if not ERRORS or all("table row" not in e for e in ERRORS):
         history = parse_history(layout_text)
-        check_magics(layouts, cc_text)
-        check_encoders(layouts, cc_text)
+        check_magics(layouts, sources)
+        check_encoders(layouts, sources)
         check_peeks(layouts, layout_text, cc_text)
         check_history(layouts, history, wire_h_text)
     return list(ERRORS)
 
 
-def self_test(layout_text: str, wire_h_text: str, cc_text: str) -> int:
+def self_test(layout_text: str, wire_h_text: str, cc_text: str,
+              grid_text: str) -> int:
     """Each perturbation must make run_checks report at least one error."""
-    clean = run_checks(layout_text, wire_h_text, cc_text)
+    pristine = (layout_text, wire_h_text, cc_text, grid_text)
+    clean = run_checks(*pristine)
     if clean:
         print("self-test: pristine tree must pass, but got:")
         for e in clean:
             print(f"  {e}")
         return 1
 
+    def layout(old: str, new: str) -> tuple[str, str, str, str]:
+        return (layout_text.replace(old, new), wire_h_text, cc_text,
+                grid_text)
+
+    def codec(old: str, new: str, count: int = -1) -> tuple[str, str, str,
+                                                              str]:
+        return (layout_text, wire_h_text, cc_text.replace(old, new, count),
+                grid_text)
+
     perturbations = [
-        (
-            "shift the set_hash offset",
-            (layout_text.replace('{"set_hash", 52, 8},',
-                                 '{"set_hash", 56, 8},'),
-             wire_h_text, cc_text),
-        ),
-        (
-            "shrink the stats response declared size",
-            (layout_text.replace("wire-layout: stats_response bytes=92",
-                                 "wire-layout: stats_response bytes=84"),
-             wire_h_text, cc_text),
-        ),
-        (
-            "swap two encoder fields",
-            (layout_text, wire_h_text,
-             cc_text.replace(
-                 "PutI32(&out, request.width);\n  PutI32(&out, request.height);",
-                 "PutF64(&out, request.domain.lo.x);\n  PutI32(&out, request.width);",
-                 1)),
-        ),
-        (
-            "retype a header field in the encoder",
-            (layout_text, wire_h_text,
-             cc_text.replace("PutU16(&out, 0);  // reserved",
-                             "PutU32(&out, 0);  // reserved", 1)),
-        ),
-        (
-            "change a frame magic in the codec",
-            (layout_text, wire_h_text,
-             cc_text.replace("{'R', 'N', 'W', 'L'}", "{'R', 'N', 'W', 'X'}")),
-        ),
-        (
-            "rewrite a published history row",
-            (layout_text.replace("{4, 68, 16, 12, 68, 76, 0},",
-                                 "{4, 68, 16, 12, 92, 76, 0},"),
-             wire_h_text, cc_text),
-        ),
-        (
-            "drop a history version",
-            (layout_text.replace("{3, 68, 16, 12, 44, 0, 0},", ""),
-             wire_h_text, cc_text),
-        ),
-        (
-            "bump kWireVersion without a history row",
-            (layout_text,
-             wire_h_text.replace("kWireVersion = 6", "kWireVersion = 7"),
-             cc_text),
-        ),
-        (
-            "peek function rewritten with hard-coded offsets",
-            (layout_text, wire_h_text,
-             cc_text.replace("kTileIdOffset", "(68 + 8)")),
-        ),
+        ("shift the set_hash offset",
+         layout('{"set_hash", 52, 8},', '{"set_hash", 56, 8},')),
+        ("shrink the stats response declared size",
+         layout("wire-layout: stats_response bytes=92",
+                "wire-layout: stats_response bytes=84")),
+        ("swap two encoder fields",
+         codec("PutI32(&out, request.width);\n  PutI32(&out, request.height);",
+               "PutF64(&out, request.domain.lo.x);\n"
+               "  PutI32(&out, request.width);", 1)),
+        ("retype a header field in the encoder",
+         codec("PutU16(&out, 0);  // reserved",
+               "PutU32(&out, 0);  // reserved", 1)),
+        ("change a frame magic in the codec",
+         codec("{'R', 'N', 'W', 'L'}", "{'R', 'N', 'W', 'X'}")),
+        ("rewrite a published history row",
+         layout("{4, 68, 16, 12, 68, 76, 0},", "{4, 68, 16, 12, 92, 76, 0},")),
+        ("drop a history version",
+         layout("{3, 68, 16, 12, 44, 0, 0},", "")),
+        ("bump kWireVersion without a history row",
+         (layout_text,
+          wire_h_text.replace("kWireVersion = 7", "kWireVersion = 8"),
+          cc_text, grid_text)),
+        ("peek function rewritten with hard-coded offsets",
+         codec("kTileIdOffset", "(68 + 8)")),
+        ("widen the grid lane field in the table",
+         layout('{"lane", 48, 4},', '{"lane", 48, 8},')),
+        ("grid encoder writes the lane before the domain",
+         (layout_text, wire_h_text, cc_text,
+          grid_text.replace(
+              "PutI32(out, grid.height());\n",
+              "PutI32(out, grid.height());\n  PutU32(out, lane);\n", 1))),
     ]
     failures = 0
-    for label, (lt, wh, cc) in perturbations:
-        if (lt, wh, cc) == (layout_text, wire_h_text, cc_text):
+    for label, perturbed in perturbations:
+        if perturbed == pristine:
             print(f"self-test: perturbation '{label}' was a no-op edit")
             failures += 1
             continue
-        errors = run_checks(lt, wh, cc)
+        errors = run_checks(*perturbed)
         if not errors:
             print(f"self-test: perturbation '{label}' was NOT caught")
             failures += 1
@@ -444,21 +443,20 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    layout_text = WIRE_LAYOUT_H.read_text()
-    wire_h_text = WIRE_H.read_text()
-    cc_text = WIRE_CC.read_text()
+    texts = (WIRE_LAYOUT_H.read_text(), WIRE_H.read_text(),
+             WIRE_CC.read_text(), GRID_CC.read_text())
 
     if args.self_test:
-        return self_test(layout_text, wire_h_text, cc_text)
+        return self_test(*texts)
 
-    errors = run_checks(layout_text, wire_h_text, cc_text)
+    errors = run_checks(*texts)
     if errors:
         print(f"check_wire_layout: {len(errors)} error(s)")
         for e in errors:
             print(f"  {e}")
         return 1
     print(
-        f"check_wire_layout: {len(parse_layouts(layout_text))} frame "
+        f"check_wire_layout: {len(parse_layouts(texts[0]))} frame "
         "layouts consistent with the codec"
     )
     return 0

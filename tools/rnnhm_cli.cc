@@ -67,8 +67,10 @@
 //             [--out resp.bin] [--stats]
 //       Socket client: send each framed request from --requests to a
 //       running serve/route process, collecting one response frame per
-//       request into --out. --stats additionally sends a stats op and
-//       prints the (fleet-merged) serve counters.
+//       request into --out; an error reply's status (malformed-request,
+//       unknown-circle-set, server-error, too-large) and message go to
+//       stderr. --stats additionally sends a stats op and prints the
+//       (fleet-merged) serve counters.
 //   wire-pack --clients A.csv --facilities B.csv [--metric linf|l1|l2]
 //             [--size N] [--count K] [--deltas D] [--seed S] --out req.bin
 //       Encode K framed wire requests over one circle set (the first
@@ -933,6 +935,12 @@ int CmdWireSend(const Args& args) {
         exit_code = ExitCodeFor(status);
         break;
       }
+      std::string decode_error;
+      if (const auto decoded = DecodeResponse(reply, &decode_error);
+          decoded.has_value() && decoded->status != WireStatus::kOk) {
+        std::fprintf(stderr, "wire-send: frame %d: %s: %s\n", sent,
+                     WireStatusName(decoded->status), decoded->error.c_str());
+      }
       if (out != nullptr && !WriteFrame(out, reply)) {
         std::fprintf(stderr, "failed writing %s\n", out_path);
         exit_code = 2;
@@ -1117,9 +1125,8 @@ int CmdWireVerify(const Args& args) {
       break;
     }
     if (response->status != WireStatus::kOk) {
-      std::fprintf(stderr, "response %d: server error %d (%s)\n", verified,
-                   static_cast<int>(response->status),
-                   response->error.c_str());
+      std::fprintf(stderr, "response %d: %s (%s)\n", verified,
+                   WireStatusName(response->status), response->error.c_str());
       ++failures;
       break;
     }
